@@ -127,7 +127,8 @@ def _print_row(kind: str, text: str, cls: str, verdict: str, detail: str) -> Non
 
 
 def cmd_table(args) -> int:
-    n_max = min(args.n, args.cap)
+    _check_cap(args.n, args.cap)
+    n_max = args.n
     failures = 0
     comparisons = 0
 
@@ -213,7 +214,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    depth = min(args.n, args.cap)
+    _check_cap(args.n, args.cap)
+    depth = args.n
     caps = checks.Caps(
         words=depth,
         paths=min(depth + 3, 12),

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 from . import patterns as _patterns
 from .series import IntSeries
-from .words import Word, statistics, is_prim, has_flat_steps
+from .words import Word, statistics, is_prim, has_flat_steps, parse_word
 
 #: Largest n for which set partitions are enumerated explicitly.
 PARTITION_CAP = 12
@@ -345,7 +345,12 @@ def ogf_substitute(prim_series: IntSeries, order: int) -> IntSeries:
 
 
 def is_primitive_pattern(pattern) -> bool:
-    word = tuple(int(c) for c in _pattern_text(pattern))
+    """True if the pattern, as text or as a tuple, has no flat step.
+
+    >>> is_primitive_pattern((1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+    True
+    """
+    word = parse_word(pattern) if isinstance(pattern, str) else tuple(pattern)
     return not has_flat_steps(word)
 
 

@@ -16,7 +16,14 @@ supported by name:
 Avoider sets are generated by growing words level by level and pruning:
 extending a modified ascent sequence relabels the old letters in an
 order-preserving way, so containment is inherited by every extension
-and any new occurrence must use the appended letter.
+and any new occurrence must use the appended letter.  So each parent w
+is searched once per pattern y, for the distinct value tuples of the
+occurrences of y[:-1].  Such a tuple has a lower bound (its largest
+value below y's last), an upper bound (its smallest value above) and
+maybe a value tied with y's last.  It forbids the child letter equal to
+the tied value if that letter is appended as is (a <= w[-1]), or with
+no tied value every appended a with lower < a < upper and every bumped
+a (a new value, the only copy of itself) with lower < a <= upper.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .words import Word, _children, _children_prim, is_cayley
+from .words import Word, is_cayley
 
 Perm = tuple[int, ...]
 
@@ -88,89 +95,87 @@ def contains(x: Word, y: Word) -> bool:
     return extend(0, 0)
 
 
-def _contains_with_last(x: Word, y: Word) -> bool:
-    """Containment where the occurrence must use the last letter of x."""
-    k = len(y)
-    n = len(x)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    last = x[-1]
+def _forbidden_letters(w: Word, y: Word) -> set[int]:
+    """The letters whose child of w contains y, by the rule above.
+
+    >>> sorted(_forbidden_letters((1, 2), (1, 2, 2)))  # 1 2 2
+    [2]
+    >>> sorted(_forbidden_letters((1, 2, 1), (1, 3, 2)))  # 1 3 1 2
+    [2]
+    """
+    k = len(y) - 1
+    last = w[-1] if w else 0
+    top = max(w, default=0) + 1
+    ylast = y[-1]
     chosen = [0] * k
+    bad: set[int] = set()
 
-    def extend(s: int, start: int) -> bool:
+    def extend(s: int, start: int, lo: int, hi: int, tied: int) -> None:
+        if s == k:
+            if tied:
+                if tied <= last:
+                    bad.add(tied)
+            else:
+                bad.update(range(lo + 1, min(hi, last + 1)))
+                bad.update(range(max(lo, last) + 1, min(hi, top) + 1))
+            return
         ys = y[s]
-        if s == k - 1:
-            v = last
+        seen = set()
+        # The leftmost copy of a value reaches every later occurrence, so
+        # each distinct value tuple is visited once.
+        for i in range(start, len(w) - (k - s) + 1):
+            v = w[i]
+            if v in seen:
+                continue
+            seen.add(v)
             for t in range(s):
                 yt = y[t]
                 vt = chosen[t]
-                if yt < ys:
-                    if vt >= v:
-                        return False
-                elif yt == ys:
-                    if vt != v:
-                        return False
-                elif vt <= v:
-                    return False
-            return True
-        for i in range(start, n - (k - s) + 1):
-            v = x[i]
-            ok = True
-            for t in range(s):
-                yt = y[t]
-                vt = chosen[t]
-                if yt < ys:
-                    if vt >= v:
-                        ok = False
-                        break
-                elif yt == ys:
-                    if vt != v:
-                        ok = False
-                        break
-                elif vt <= v:
-                    ok = False
+                if (vt >= v) if yt < ys else (vt != v) if yt == ys else (vt <= v):
                     break
-            if ok:
+            else:
                 chosen[s] = v
-                if extend(s + 1, i + 1):
-                    return True
-        return False
+                if ys < ylast:
+                    extend(s + 1, i + 1, max(lo, v), hi, tied)
+                elif ys > ylast:
+                    extend(s + 1, i + 1, lo, min(hi, v), tied)
+                else:
+                    extend(s + 1, i + 1, lo, hi, v)
 
-    return extend(0, 0)
-
-
-def _check_class(cls: str) -> None:
-    if cls not in ("modasc", "prim"):
-        raise ValueError(f"unknown class {cls!r}; expected 'modasc' or 'prim'")
-
-
-def _pattern_key(patterns: Iterable[Word]) -> frozenset[Word]:
-    pats = frozenset(patterns)
-    for y in pats:
-        if not y:
-            raise ValueError("patterns must be nonempty")
-        if not is_cayley(y):
-            raise ValueError(f"pattern {y} is not a Cayley permutation")
-    return pats
+    extend(0, 0, 0, top, 0)
+    return bad
 
 
 @lru_cache(maxsize=None)
 def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     if n == 0:
         return ((),)
-    prev = _avoider_level(n - 1, pats, cls)
-    extend = _children_prim if cls == "prim" else _children
     out = []
-    for w in prev:
-        for c in extend(w):
-            for y in pats:
-                if _contains_with_last(c, y):
-                    break
-            else:
-                out.append(c)
+    for w in _avoider_level(n - 1, pats, cls):
+        bad = set().union(*(_forbidden_letters(w, y) for y in pats))
+        last = w[-1] if w else 0
+        for a in range(1, last if cls == "prim" else last + 1):
+            if a not in bad:
+                out.append(w + (a,))
+        for a in range(last + 1, max(w, default=0) + 2):
+            if a not in bad:
+                out.append(tuple(v + 1 if v >= a else v for v in w) + (a,))
     return tuple(out)
+
+
+def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ...]:
+    """`_avoider_level` after checking the class, the length and the patterns."""
+    if cls not in ("modasc", "prim"):
+        raise ValueError(f"unknown class {cls!r}; expected 'modasc' or 'prim'")
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    pats = frozenset(patterns)
+    for y in pats:
+        if not y:
+            raise ValueError("patterns must be nonempty")
+        if not is_cayley(y):
+            raise ValueError(f"pattern {y} is not a Cayley permutation")
+    return _avoider_level(n, pats, cls)
 
 
 def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word]:
@@ -179,15 +184,11 @@ def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word
     >>> avoiders(3, [(1, 2, 2)])
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3)]
     """
-    _check_class(cls)
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return sorted(_avoider_level(n, _pattern_key(patterns), cls))
+    return sorted(_checked_level(n, patterns, cls))
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:
-    _check_class(cls)
-    return len(_avoider_level(n, _pattern_key(patterns), cls))
+    return len(_checked_level(n, patterns, cls))
 
 
 def _is_permutation(p: Perm) -> bool:
@@ -262,10 +263,9 @@ def avoidance_witness(
     >>> avoidance_witness((1, 2, 2), (1, 2, 3, 2), n_max=5)
     (3, (1, 2, 2))
     """
-    _check_class(cls)
     for n in range(n_max + 1):
-        a = _avoider_level(n, _pattern_key([y1]), cls)
-        b = _avoider_level(n, _pattern_key([y2]), cls)
+        a = _checked_level(n, [y1], cls)
+        b = _checked_level(n, [y2], cls)
         if a != b:
             sa, sb = set(a), set(b)
             return n, min(sa.symmetric_difference(sb))

@@ -11,8 +11,8 @@ Generation works by growing words one letter at a time: a modified
 ascent sequence of length n with maximum m has exactly m + 1 extensions
 of length n + 1, obtained either by appending a letter at most the last
 letter, or by appending a strictly larger letter a and first bumping
-every old letter >= a up by one.  Both generators return words in
-lexicographic order.
+every old letter >= a up by one.  `iter_modasc` and `iter_prim` keep
+this generation order, which from n = 4 on is not lexicographic.
 """
 
 from __future__ import annotations

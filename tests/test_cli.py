@@ -84,6 +84,23 @@ def test_cap_blocks_large_runs(capsys):
     assert "exceeds the enumeration cap 10" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--n", "12"], ["table", "--n", "15"]])
+def test_cap_blocks_verify_and_table(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration cap 10" in err
+
+
+def test_cap_env_blocks_verify_and_table(capsys, monkeypatch):
+    monkeypatch.setenv("FP_CAP", "3")
+    for argv in (["verify", "--n", "4"], ["table", "--n", "4"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "cap 3" in err
+
+
 def test_cap_flag_raises_limit(capsys):
     code, out, _ = run(capsys, ["--cap", "11", "count", "--n", "11"])
     assert code == 0

@@ -109,6 +109,13 @@ def test_transform_needs_primitive_pattern():
     assert counting.closed_counts("112", "modasc", 3) == 4
     assert not counting.is_primitive_pattern("112")
     assert counting.is_primitive_pattern("2321")
+
+
+def test_primitive_pattern_reads_multi_digit_values():
+    # joined as text, 1 10 2 ... would read as 1 1 0 2 ...
+    assert counting.is_primitive_pattern((1, 10, 2, 3, 4, 5, 6, 7, 8, 9))
+    assert counting.is_primitive_pattern("1 10 2 3 4 5 6 7 8 9")
+    assert not counting.is_primitive_pattern((1, 10, 10, 2, 3, 4, 5, 6, 7, 8, 9))
     assert "112" not in counting.TRANSFORMABLE
     assert "132" in counting.TRANSFORMABLE
 

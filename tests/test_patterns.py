@@ -61,6 +61,15 @@ def test_avoiders_rejects_bad_input():
         patterns.avoiders(-1, [(1, 2)])
 
 
+def test_count_avoiders_rejects_bad_input():
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(-1, [(1, 2)])
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(3, [(1, 2)], "perm")
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(3, [(1, 3)])
+
+
 def test_containment_hereditary():
     # once a pattern occurs it survives every one-letter extension, which
     # is what justifies pruning the generation tree at the first occurrence
