@@ -47,7 +47,13 @@ def _usage_error(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
+def _check_length(n: int, what: str = "length") -> None:
+    if n < 0:
+        raise _usage_error(f"{what} {n} is negative")
+
+
 def _check_cap(n: int, cap: int, what: str = "length") -> None:
+    _check_length(n, what)
     if n > cap:
         raise _usage_error(
             f"{what} {n} exceeds the enumeration cap {cap}; "
@@ -109,8 +115,7 @@ def cmd_count(args) -> int:
             return sum(1 for _ in words.iter_cayley(n))
         if args.avoid:
             return patterns.count_avoiders(n, _parse_avoid(args.avoid), args.cls)
-        gen = words.generate_prim if args.cls == "prim" else words.generate_modasc
-        return len(gen(n))
+        return words.count_level(n, args.cls == "prim")
 
     if args.cls == "cayley" and args.avoid:
         raise _usage_error("--avoid needs --class modasc or prim")
@@ -241,6 +246,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     text, cls = _parse_label(args.label)
+    _check_length(args.n)
     source = args.source
     if source == "auto":
         source = "formula" if counting.has_closed_form(text, cls) else "oracle"
@@ -267,6 +273,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_length(args.order, "order")
     n_max = min(args.order, args.cap)
     if args.order > args.cap:
         print(f"note: order clamped to the cap {args.cap}", file=sys.stderr)

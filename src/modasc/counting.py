@@ -228,9 +228,22 @@ PRINTED_SEQUENCES: dict[tuple[str, str], tuple[int, tuple[int, ...]]] = {
 
 
 def _pattern_text(pattern) -> str:
+    """Label of a pattern given as text or as a tuple of values: its digits
+    run together when every value is below 10, else space-separated, so
+    that `parse_word` reads the label back as the same pattern.
+
+    >>> _pattern_text((2, 3, 2, 1)), _pattern_text("2 3 2 1")
+    ('2321', '2321')
+    >>> _pattern_text((1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+    '1 2 3 4 5 6 7 8 9 10'
+    """
     if isinstance(pattern, str):
-        return "".join(pattern.split())
-    return "".join(str(v) for v in pattern)
+        values = pattern.split()
+        if len(values) == 1:
+            values = list(values[0])
+    else:
+        values = [str(v) for v in pattern]
+    return ("" if all(len(v) == 1 for v in values) else " ").join(values)
 
 
 def _family_for(pattern, cls: str) -> Callable[[int], int]:

@@ -13,11 +13,21 @@ of length n + 1, obtained either by appending a letter at most the last
 letter, or by appending a strictly larger letter a and first bumping
 every old letter >= a up by one.  `iter_modasc` and `iter_prim` keep
 this generation order, which from n = 4 on is not lexicographic.
+
+The children of a word depend only on its label (m, l), its maximum and
+its last letter, so the tree is the succession rule
+
+    (0, 0);  (m, l) -> (m, a) for 1 <= a <= l,  (m + 1, a) for l < a <= m + 1,
+
+whose root (0, 0) is the empty word, with a < l in place of a <= l for
+the primitive words.  `count_level` counts a level from the labels
+alone, without building any word.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -230,6 +240,29 @@ def _level(n: int, prim: bool) -> tuple[Word, ...]:
     prev = _level(n - 1, prim)
     extend = _children_prim if prim else _children
     return tuple(c for w in prev for c in extend(w))
+
+
+def count_level(n: int, prim: bool) -> int:
+    """Number of modified ascent sequences of length n (primitive ones if
+    `prim`), summed over the (max, last) labels of the generating tree.
+
+    >>> [count_level(n, False) for n in range(7)]
+    [1, 1, 2, 5, 15, 53, 217]
+    >>> [count_level(n, True) for n in range(7)]
+    [1, 1, 1, 2, 5, 16, 61]
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    labels = Counter({(0, 0): 1})
+    for _ in range(n):
+        grown: Counter[tuple[int, int]] = Counter()
+        for (m, last), c in labels.items():
+            for a in range(1, last if prim else last + 1):
+                grown[m, a] += c
+            for a in range(last + 1, m + 2):
+                grown[m + 1, a] += c
+        labels = grown
+    return sum(labels.values())
 
 
 def iter_modasc(n: int) -> Iterator[Word]:

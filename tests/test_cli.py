@@ -6,6 +6,7 @@ from modasc.cli import main
 
 GENERATE_MODASC_3 = "1 1 1\n1 1 2\n1 2 1\n1 2 2\n1 2 3\n"
 COUNT_UPTO_6 = "0 1\n1 1\n2 2\n3 5\n4 15\n5 53\n6 217\n"
+COUNT_PRIM_UPTO_6 = "0 1\n1 1\n2 1\n3 2\n4 5\n5 16\n6 61\n"
 EXPORT_312_BFILE = "1 1\n2 2\n3 5\n4 14\n"
 
 
@@ -51,6 +52,12 @@ def test_count_upto(capsys):
     code, out, _ = run(capsys, ["count", "--class", "modasc", "--upto", "6"])
     assert code == 0
     assert out == COUNT_UPTO_6
+
+
+def test_count_upto_prim(capsys):
+    code, out, _ = run(capsys, ["count", "--class", "prim", "--upto", "6"])
+    assert code == 0
+    assert out == COUNT_PRIM_UPTO_6
 
 
 def test_count_single(capsys):
@@ -99,6 +106,27 @@ def test_cap_env_blocks_verify_and_table(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "cap 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "-1"],
+        ["count", "--class", "prim", "--upto", "-1"],
+        ["count", "--class", "cayley", "--n", "-1"],
+        ["generate", "--n", "-1"],
+        ["export", "--label", "312-modasc", "--n", "-1"],
+        ["export", "--label", "211-modasc", "--n", "-1", "--source", "oracle"],
+        ["experiment", "--check", "modasc122-vs-211", "--order", "-1"],
+        ["verify", "--n", "-1"],
+        ["table", "--n", "-1"],
+    ],
+)
+def test_negative_length_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "-1 is negative" in err
 
 
 def test_cap_flag_raises_limit(capsys):

@@ -120,6 +120,17 @@ def test_primitive_pattern_reads_multi_digit_values():
     assert "132" in counting.TRANSFORMABLE
 
 
+def test_tuple_patterns_keep_multi_digit_values():
+    ten = tuple(range(1, 11))
+    table = counting.oracle_table(ten, "modasc", 3)
+    assert table.label == "1 2 3 4 5 6 7 8 9 10-modasc"
+    assert table.values == ((1, 1), (2, 2), (3, 5))
+    # joined as text, 1 21 3 2 would read as the known pattern 12132
+    assert not counting.has_closed_form((1, 21, 3, 2), "modasc")
+    assert counting.has_closed_form((1, 2, 1, 3, 2), "modasc")
+    assert counting.oracle_table((2, 3, 2, 1), "modasc", 2).label == "2321-modasc"
+
+
 def test_ogf_substitute_matches_transform():
     prim = [counting.closed_counts("321", "prim", k) for k in range(13)]
     series = counting.ogf_substitute(IntSeries(prim, 12), 12)

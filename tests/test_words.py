@@ -1,7 +1,8 @@
 import pytest
 
-from modasc import words
-from modasc.counting import fubini
+from modasc import cli, words
+from modasc.counting import binomial_transform_count, fubini
+from modasc.series import IntSeries
 
 # counts of modified ascent sequences and of the primitive ones, n = 0..9,
 # frozen from the recursive generator and cross-checked against the
@@ -60,8 +61,53 @@ def test_is_modasc_examples():
 def test_generation_counts():
     for n, want in enumerate(MODASC_COUNTS):
         assert len(words.generate_modasc(n)) == want
+        assert words.count_level(n, False) == want
     for n, want in enumerate(PRIM_COUNTS):
         assert len(words.generate_prim(n)) == want
+        assert words.count_level(n, True) == want
+
+
+def fishburn_series(order):
+    """Zagier's form of the Fishburn series, the sum over k of the
+    product of 1 - (1 - t)^i for i = 1..k; the k-th term starts at t^k."""
+    one, t = IntSeries.one(order), IntSeries.t(order)
+    total = term = power = one
+    for _ in range(order):
+        power = power * (one - t)
+        term = term * (one - power)
+        total = total + term
+    return total
+
+
+def test_count_level_matches_level_length():
+    for n in range(11):
+        for prim in (False, True):
+            assert words.count_level(n, prim) == len(words._level(n, prim))
+
+
+def test_count_level_fishburn_series():
+    fishburn = fishburn_series(20)
+    assert [words.count_level(n, False) for n in range(21)] == list(fishburn.coeffs)
+
+
+def test_count_level_flat_collapse_transform():
+    prim = {k: words.count_level(k, True) for k in range(21)}
+    for n in range(1, 21):
+        assert words.count_level(n, False) == binomial_transform_count(prim, n)
+
+
+def test_count_level_rejects_negative_length():
+    for prim in (False, True):
+        with pytest.raises(ValueError):
+            words.count_level(-1, prim)
+
+
+def test_count_builds_no_level(capsys):
+    for cls in ("modasc", "prim"):
+        words._level.cache_clear()
+        assert cli.main(["count", "--class", cls, "--n", "9"]) == 0
+        assert words._level.cache_info().currsize == 0
+    assert capsys.readouterr().out == f"{MODASC_COUNTS[9]}\n{PRIM_COUNTS[9]}\n"
 
 
 def test_generate_modasc_order():
