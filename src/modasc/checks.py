@@ -8,6 +8,7 @@ run in declaration order so the first failure is reproducible.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,7 @@ class CheckResult:
     description: str
     passed: bool
     witness: str | None = None
+    seconds: float = 0.0
 
 
 def _all_partitions(n: int):
@@ -327,10 +329,9 @@ SERIES_ORDER = 20
 
 
 def check_series_f(caps: Caps) -> str | None:
-    try:
-        counting.special_series("F", SERIES_ORDER)
-    except ArithmeticError as exc:
-        return str(exc)
+    f = counting.special_series("F", SERIES_ORDER)
+    if f != counting.series_f_second_form(SERIES_ORDER):
+        return "the two forms of F disagree"
     return None
 
 
@@ -527,6 +528,8 @@ def run_suite(name: str, caps: Caps) -> list[CheckResult]:
         raise ValueError(f"unknown suite {name!r}")
     results = []
     for tag, description, fn in SUITES[name]:
+        started = time.perf_counter()
         witness = fn(caps)
-        results.append(CheckResult(tag, description, witness is None, witness))
+        seconds = time.perf_counter() - started
+        results.append(CheckResult(tag, description, witness is None, witness, seconds))
     return results

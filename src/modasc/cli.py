@@ -240,6 +240,8 @@ def cmd_verify(args) -> int:
         f"verify {args.suite}: {passed}/{len(results)} checks passed "
         f"(words<={caps.words}, paths<={caps.paths}, partitions<={caps.partitions})"
     )
+    for r in results:
+        print(f"time {r.tag} {r.seconds:.3f}s", file=sys.stderr)
     print(f"elapsed {elapsed:.1f}s", file=sys.stderr)
     return 0 if passed == len(results) else 1
 

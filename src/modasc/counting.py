@@ -392,20 +392,27 @@ def _prod_term(order: int, k: int) -> IntSeries:
 
 
 def _series_F(order: int) -> IntSeries:
+    """F as the sum over k of prod_{j<=k} j t^2 / (1 - j t)."""
+    total = IntSeries.zero(order)
+    for k in range(order // 2 + 1):
+        total = total + _prod_term(order, k)
+    return total
+
+
+def series_f_second_form(order: int) -> IntSeries:
+    """F as the sum over i of t^i / ((1 + t)^(i+1) (1 - i t)).
+
+    The second form of the series `special_series("F", order)` builds;
+    `checks.check_series_f` compares the two.
+    """
     one = IntSeries.one(order)
     t = IntSeries.t(order)
-    total_a = IntSeries.zero(order)
-    for k in range(order // 2 + 1):
-        total_a = total_a + _prod_term(order, k)
-    total_b = IntSeries.zero(order)
-    pow1pt = one
+    total = IntSeries.zero(order)
+    power = one
     for i in range(order + 1):
-        pow1pt = pow1pt * (one + t) if i else (one + t)
-        den = pow1pt * (one - t * i)
-        total_b = total_b + one.divide(den).shift(i)
-    if total_a != total_b:
-        raise ArithmeticError("the two forms of F disagree")
-    return total_a
+        power = power * (one + t)
+        total = total + one.divide(power * (one - t * i)).shift(i)
+    return total
 
 
 def _series_modasc122(order: int) -> IntSeries:
@@ -488,16 +495,27 @@ def special_series(name: str, order: int) -> IntSeries:
 @lru_cache(maxsize=None)
 def p_coefficients(n: int) -> tuple[int, ...]:
     """(p_{n,0}, ..., p_{n,floor(n/2)}): partitions of [n] counted by the
-    number of non-singleton blocks, brute-forced over all partitions."""
+    number of non-singleton blocks, brute-forced over all partitions.
+
+    Elements are placed one at a time, each into an existing block or a
+    new one.  The last element is placed by a loop over the blocks of
+    each partition of [n - 1]: joining a singleton adds a non-singleton
+    block, joining a larger block or starting a new one does not.  Each
+    partition of [n] is still counted on its own.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > PARTITION_CAP:
         raise ValueError(f"partition enumeration capped at n <= {PARTITION_CAP}")
+    if n == 0:
+        return (1,)
     counts = [0] * (n // 2 + 1)
     sizes: list[int] = []
 
     def place(i: int, nonsingle: int) -> None:
-        if i == n:
+        if i == n - 1:
+            for size in sizes:
+                counts[nonsingle + (size == 1)] += 1
             counts[nonsingle] += 1
             return
         for b in range(len(sizes)):

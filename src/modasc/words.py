@@ -22,19 +22,26 @@ its last letter, so the tree is the succession rule
 whose root (0, 0) is the empty word, with a < l in place of a <= l for
 the primitive words.  `count_level` counts a level from the labels
 alone, without building any word.
+
+`statistics` returns a view whose fields (ascent tops, leftmost copies,
+the left-to-right and right-to-left minima and maxima, ascents and
+descents) are computed from the word when they are read, so a caller
+pays only for the fields it uses.  `is_modasc` reads none of them: it
+checks "ascent top if and only if leftmost copy" in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 Word = tuple[int, ...]
 
-# (index, value) pairs, sorted by index.
+# (index, value) pairs, in index order.
 Marked = tuple[tuple[int, int], ...]
 
 #: Largest n for which the endofunction oracle will enumerate [n]^n.
@@ -80,99 +87,83 @@ def has_flat_steps(x: Word) -> bool:
     return any(a == b for a, b in zip(x, x[1:]))
 
 
-@dataclass(frozen=True)
-class WordStats:
-    """Positional statistics of a word, all as (index, value) pairs."""
+def _records(x: Word, beats: Callable[[int, int], bool], from_right: bool) -> Marked:
+    """(i, x_i) for every letter that beats each letter before it in the
+    scan, read from the left or from the right; returned in index order."""
+    found: list[tuple[int, int]] = []
+    for i in range(len(x) - 1, -1, -1) if from_right else range(len(x)):
+        if not found or beats(x[i], found[-1][1]):
+            found.append((i + 1, x[i]))
+    if from_right:
+        found.reverse()
+    return tuple(found)
 
-    asctops: Marked
-    nub: Marked
-    lrmin: Marked
-    wlrmin: Marked
-    lrmax: Marked
-    wlrmax: Marked
-    rlmin: Marked
-    wrlmin: Marked
-    rlmax: Marked
-    wrlmax: Marked
-    asc: int
-    des: int
+
+def _record_field(beats: Callable[[int, int], bool], from_right: bool, doc: str) -> property:
+    return property(lambda st: _records(st.word, beats, from_right), doc=doc)
+
+
+class WordStats:
+    """Positional statistics of a word, as (index, value) pairs in index
+    order, and its numbers of ascents and descents.
+
+    A view of the word: each field is computed from it when read, and
+    reading a field twice computes it twice.  It defines no equality or
+    hash of its own.
+    """
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        self.word = word
+
+    @property
+    def asctops(self) -> Marked:
+        """Ascent tops; the first letter counts as one."""
+        x = self.word
+        return tuple((i + 1, v) for i, v in enumerate(x) if i == 0 or x[i - 1] < v)
+
+    @property
+    def nub(self) -> Marked:
+        """The leftmost copy of each value."""
+        seen: set[int] = set()
+        firsts = []
+        for i, v in enumerate(self.word, 1):
+            if v not in seen:
+                seen.add(v)
+                firsts.append((i, v))
+        return tuple(firsts)
+
+    lrmin = _record_field(operator.lt, False, "Left-to-right minima.")
+    wlrmin = _record_field(operator.le, False, "Weak left-to-right minima.")
+    lrmax = _record_field(operator.gt, False, "Left-to-right maxima.")
+    wlrmax = _record_field(operator.ge, False, "Weak left-to-right maxima.")
+    rlmin = _record_field(operator.lt, True, "Right-to-left minima.")
+    wrlmin = _record_field(operator.le, True, "Weak right-to-left minima.")
+    rlmax = _record_field(operator.gt, True, "Right-to-left maxima.")
+    wrlmax = _record_field(operator.ge, True, "Weak right-to-left maxima.")
+
+    @property
+    def asc(self) -> int:
+        x = self.word
+        return sum(a < b for a, b in zip(x, x[1:]))
+
+    @property
+    def des(self) -> int:
+        x = self.word
+        return sum(a > b for a, b in zip(x, x[1:]))
 
 
 def statistics(x: Word) -> WordStats:
-    """Compute ascent tops, leftmost copies, and the eight min/max statistics.
+    """Ascent tops, leftmost copies, the eight min/max statistics, and the
+    ascent and descent counts of x, each computed when it is read.
 
     The first letter is an ascent top by convention.  `nub` marks the
     leftmost copy of each value 1..max; for Cayley permutations it has
-    exactly max(x) entries.
+    exactly max(x) entries.  The result is a view of x with no equality
+    or hash; compare its fields, not the views.
     """
-    if not x:
-        empty: Marked = ()
-        return WordStats(*([empty] * 10), asc=0, des=0)
-    n = len(x)
-    asctops = [(1, x[0])]
-    asc = des = 0
-    for i in range(1, n):
-        if x[i - 1] < x[i]:
-            asctops.append((i + 1, x[i]))
-            asc += 1
-        elif x[i - 1] > x[i]:
-            des += 1
-    first_pos: dict[int, int] = {}
-    for i, v in enumerate(x):
-        if v not in first_pos:
-            first_pos[v] = i + 1
-    nub = tuple(sorted((first_pos[v], v) for v in first_pos))
-
-    lrmin, wlrmin, lrmax, wlrmax = [], [], [], []
-    lo = hi = x[0]
-    lrmin.append((1, x[0]))
-    wlrmin.append((1, x[0]))
-    lrmax.append((1, x[0]))
-    wlrmax.append((1, x[0]))
-    for i in range(1, n):
-        v = x[i]
-        if v < lo:
-            lrmin.append((i + 1, v))
-        if v <= lo:
-            wlrmin.append((i + 1, v))
-        if v > hi:
-            lrmax.append((i + 1, v))
-        if v >= hi:
-            wlrmax.append((i + 1, v))
-        lo = min(lo, v)
-        hi = max(hi, v)
-    rlmin, wrlmin, rlmax, wrlmax = [], [], [], []
-    lo = hi = x[-1]
-    rlmin.append((n, x[-1]))
-    wrlmin.append((n, x[-1]))
-    rlmax.append((n, x[-1]))
-    wrlmax.append((n, x[-1]))
-    for i in range(n - 2, -1, -1):
-        v = x[i]
-        if v < lo:
-            rlmin.append((i + 1, v))
-        if v <= lo:
-            wrlmin.append((i + 1, v))
-        if v > hi:
-            rlmax.append((i + 1, v))
-        if v >= hi:
-            wrlmax.append((i + 1, v))
-        lo = min(lo, v)
-        hi = max(hi, v)
-    return WordStats(
-        asctops=tuple(asctops),
-        nub=nub,
-        lrmin=tuple(sorted(lrmin)),
-        wlrmin=tuple(sorted(wlrmin)),
-        lrmax=tuple(sorted(lrmax)),
-        wlrmax=tuple(sorted(wlrmax)),
-        rlmin=tuple(sorted(rlmin)),
-        wrlmin=tuple(sorted(wrlmin)),
-        rlmax=tuple(sorted(rlmax)),
-        wrlmax=tuple(sorted(wrlmax)),
-        asc=asc,
-        des=des,
-    )
+    return WordStats(x)
 
 
 def is_modasc(x: Word) -> bool:
@@ -188,16 +179,21 @@ def is_modasc(x: Word) -> bool:
         return True
     if not is_cayley(x):
         return False
-    st = statistics(x)
-    if st.asctops != st.nub:
-        return False
+    seen: set[int] = set()
+    prev = tops = 0
+    for v in x:
+        top = prev < v  # the first letter is a top: letters are positive
+        if top == (v in seen):
+            return False
+        tops += top
+        seen.add(v)
+        prev = v
     # Two facts hold by theorem for every member; check them anyway.
-    top_values = [v for _, v in st.asctops]
-    if len(set(top_values)) != len(top_values):
-        raise ConsistencyError(f"repeated ascent-top value in {x}")
     m = max(x)
-    max_positions = [i for i, v in enumerate(x) if v == m]
-    if max_positions != list(range(max_positions[0], max_positions[-1] + 1)):
+    if tops != m:
+        raise ConsistencyError(f"repeated ascent-top value in {x}")
+    first, copies = x.index(m), x.count(m)
+    if x[first:first + copies] != (m,) * copies:
         raise ConsistencyError(f"copies of the maximum not adjacent in {x}")
     return True
 

@@ -116,7 +116,9 @@ def test_criterion_5_bell_count_and_histogram():
 def test_criterion_6_series_identities():
     failures = []
     order = 20
-    f = counting.special_series("F", order)  # raises if its two forms differ
+    f = counting.special_series("F", order)
+    if f != counting.series_f_second_form(order):
+        failures.append(("two forms of F",))
     one_plus_t = counting.IntSeries((1, 1), order)
     if counting.special_series("PrimOGF122", order) != one_plus_t * f:
         failures.append(("prim 122 series",))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -275,6 +276,32 @@ def test_verify_suite(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
     assert lines[-1].startswith("verify bijections: 8/8 checks passed")
     assert "elapsed" in err
+
+
+VERIFY_IDENTITIES_4 = """\
+ok   series.F           the two forms of F agree
+ok   series.prim122     primitive 122 counts: series, formula and oracle agree
+ok   series.modasc122   122 counts: series, power sum and oracle agree
+ok   series.G           G shifts the primitive 122 counts by one
+ok   transform.eq       substitution t -> t/(1-t) equals the binomial transform
+ok   series.D           D matches generated dudu-avoiding paths and the coefficient sum
+ok   series.modasc312   312 counts: series, formula, oracle and quoted values agree
+ok   series.motzkin     the Motzkin fixed point matches the recurrence
+ok   stirling.identity  the Stirling-number identity holds with brute-forced coefficients
+ok   ascents.2321       ascent histograms over 2321-avoiders match Stirling rows
+ok   insertion.221      221 counts by insertion, formula and oracle agree
+ok   printed.sequences  sequences quoted in full match formula and oracle
+verify identities: 12/12 checks passed (words<=4, paths<=7, partitions<=7)
+"""
+
+
+def test_verify_times_each_check_on_stderr(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "identities", "--n", "4"])
+    assert code == 0
+    assert out == VERIFY_IDENTITIES_4
+    timings = [line.split() for line in err.splitlines() if line.startswith("time ")]
+    assert [t[1] for t in timings] == [line.split()[1] for line in out.splitlines()[:-1]]
+    assert all(re.fullmatch(r"\d+\.\d{3}s", t[2]) and len(t) == 3 for t in timings)
 
 
 def test_verify_rejects_unknown_suite():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from modasc import counting, patterns
+from modasc import checks, counting, patterns
 from modasc.series import IntSeries
 
 # frozen small prefixes; every value here was reproduced by at least two
@@ -157,6 +157,14 @@ def test_series_g_shifts_prim122():
     g = counting.special_series("G", 12)
     for n in range(12):
         assert g[n] == counting.closed_counts("122", "prim", n + 1)
+
+
+def test_p_coefficients_match_partition_histogram():
+    for n in range(9):
+        hist = [0] * (n // 2 + 1)
+        for beta in checks._all_partitions(n):
+            hist[sum(len(b) > 1 for b in beta)] += 1
+        assert counting.p_coefficients(n) == tuple(hist)
 
 
 def test_p_coefficients():

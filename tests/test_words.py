@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st_
 
 from modasc import cli, words
 from modasc.counting import binomial_transform_count, fubini
@@ -47,6 +51,66 @@ def test_statistics_by_hand():
 def test_statistics_empty():
     st = words.statistics(())
     assert st.asc == 0 and st.des == 0 and st.asctops == ()
+
+
+# Brute-force statistics written from their definitions, sharing no code
+# with `words`: a letter is marked when it compares as asked with every
+# letter on the named side of it (the first or last letter always is).
+BRUTE_RECORDS = {
+    "lrmin": (False, lambda v, others: v < min(others)),
+    "wlrmin": (False, lambda v, others: v <= min(others)),
+    "lrmax": (False, lambda v, others: v > max(others)),
+    "wlrmax": (False, lambda v, others: v >= max(others)),
+    "rlmin": (True, lambda v, others: v < min(others)),
+    "wrlmin": (True, lambda v, others: v <= min(others)),
+    "rlmax": (True, lambda v, others: v > max(others)),
+    "wrlmax": (True, lambda v, others: v >= max(others)),
+}
+
+
+def brute_statistics(x):
+    n = len(x)
+    out = {
+        "asctops": tuple((i + 1, x[i]) for i in range(n) if i == 0 or x[i - 1] < x[i]),
+        "nub": tuple((i + 1, x[i]) for i in range(n) if x[i] not in x[:i]),
+        "asc": len([i for i in range(1, n) if x[i - 1] < x[i]]),
+        "des": len([i for i in range(1, n) if x[i - 1] > x[i]]),
+    }
+    for name, (from_right, beats) in BRUTE_RECORDS.items():
+        out[name] = tuple(
+            (i + 1, x[i])
+            for i in range(n)
+            if not (others := x[i + 1:] if from_right else x[:i]) or beats(x[i], others)
+        )
+    return out
+
+
+def brute_is_modasc(x):
+    stats = brute_statistics(x)
+    return sorted(set(x)) == list(range(1, len(set(x)) + 1)) and stats["asctops"] == stats["nub"]
+
+
+def assert_statistics_match(x):
+    st = words.statistics(x)
+    for name, want in brute_statistics(x).items():
+        assert getattr(st, name) == want, (x, name)
+    assert words.is_modasc(x) == brute_is_modasc(x), x
+
+
+def test_statistics_match_brute_force_exhaustively():
+    for k in range(6):
+        for x in itertools.product(range(1, k + 1), repeat=k):
+            assert_statistics_match(x)
+
+
+@given(st_.lists(st_.integers(1, 6), max_size=12).map(tuple))
+def test_statistics_match_brute_force(x):
+    assert_statistics_match(x)
+
+
+def test_is_modasc_counts_cayley_permutations():
+    for n in range(7):
+        assert sum(words.is_modasc(x) for x in words.iter_cayley(n)) == MODASC_COUNTS[n]
 
 
 def test_is_modasc_examples():
