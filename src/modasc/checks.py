@@ -51,10 +51,18 @@ def _all_partitions(n: int):
     yield from place(1)
 
 
-def _perms_avoiding_32_1(n: int):
-    for p in itertools.permutations(range(1, n + 1)):
-        if not patterns.contains_special(p, "32-1"):
-            yield p
+def _perms_avoiding_32_1(n: int) -> list[tuple[int, ...]]:
+    """Sym_n(32-1) by its generating tree: a child bumps the old values
+    >= a and appends a, for each a above every descent bottom (a lower a
+    would complete an occurrence)."""
+    level: list[tuple[int, ...]] = [()]
+    for size in range(1, n + 1):
+        level = [
+            tuple(v + 1 if v >= a else v for v in p) + (a,)
+            for p in level
+            for a in range(max((b for t, b in zip(p, p[1:]) if t > b), default=0) + 1, size + 1)
+        ]
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ def check_dyck_312(caps: Caps) -> str | None:
 
 def check_claesson(caps: Caps) -> str | None:
     for n in range(1, min(caps.words, 9) + 1):
-        perms = list(_perms_avoiding_32_1(n))
+        perms = _perms_avoiding_32_1(n)
         if len(perms) != counting.bell(n):
             return f"|Sym_n(32-1)| != Bell at n={n}"
         image = set()

@@ -275,10 +275,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_length(args.order, "order")
-    n_max = min(args.order, args.cap)
-    if args.order > args.cap:
-        print(f"note: order clamped to the cap {args.cap}", file=sys.stderr)
+    _check_cap(args.order, args.cap, "order")
+    n_max = args.order
 
     def counts(text: str, cls: str = "modasc") -> list[int]:
         pat = patterns.parse_pattern(text)
@@ -349,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"enumeration cap on word length (default FP_CAP or {DEFAULT_CAP})",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="reserved for parallel runs; execution is sequential",
-    )
-    parser.add_argument(
         "--seedless",
         action="store_true",
         help="fail if the run perturbs the global random state",
@@ -399,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="report-only comparisons of open cases")
     p.add_argument("--check", required=True, choices=EXPERIMENTS)
-    p.add_argument("--order", type=int, default=9, help="lengths 0..N, cap-clamped")
+    p.add_argument("--order", type=int, default=9, help="lengths 0..N, at most the cap")
     p.set_defaults(fn=cmd_experiment)
 
     return parser
@@ -412,8 +404,6 @@ def main(argv=None) -> int:
         args.cap = _env_cap() if args.cap is None else args.cap
         if args.cap < 1:
             raise _usage_error("--cap must be positive")
-        if args.jobs < 1:
-            raise _usage_error("--jobs must be positive")
         state = random.getstate() if args.seedless else None
         code = args.fn(args)
     except SystemExit as exc:

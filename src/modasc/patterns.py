@@ -13,17 +13,18 @@ supported by name:
 * ``32-1``   - an adjacent descent followed, at least two positions
   later, by a value below both legs (p_i > p_{i+1} > p_k).
 
-Avoider sets are generated by growing words level by level and pruning:
-extending a modified ascent sequence relabels the old letters in an
-order-preserving way, so containment is inherited by every extension
-and any new occurrence must use the appended letter.  So each parent w
-is searched once per pattern y, for the distinct value tuples of the
-occurrences of y[:-1].  Such a tuple has a lower bound (its largest
-value below y's last), an upper bound (its smallest value above) and
-maybe a value tied with y's last.  It forbids the child letter equal to
-the tied value if that letter is appended as is (a <= w[-1]), or with
-no tied value every appended a with lower < a < upper and every bumped
-a (a new value, the only copy of itself) with lower < a <= upper.
+Avoider levels are the levels of the generating tree of `words` (its
+module docstring states the succession rule) with the letters a pattern
+forbids left out: extending a modified ascent sequence relabels the old
+letters in an order-preserving way, so containment is inherited by
+every extension and any new occurrence must use the appended letter.
+So each parent w is searched once per pattern y, for the distinct value
+tuples of the occurrences of y[:-1].  Such a tuple has a lower bound
+(its largest value below y's last), an upper bound (its smallest value
+above) and maybe a value tied with y's last.  It forbids the child
+letter equal to the tied value if that letter is appended as it is, or
+with no tied value every appended a with lower < a < upper and every
+bumped a (a new value, the only copy of itself) with lower < a <= upper.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .words import Word, is_cayley
+from .words import Word, _children, _letters, is_cayley
 
 Perm = tuple[int, ...]
 
@@ -104,8 +105,7 @@ def _forbidden_letters(w: Word, y: Word) -> set[int]:
     [2]
     """
     k = len(y) - 1
-    last = w[-1] if w else 0
-    top = max(w, default=0) + 1
+    kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, False)
     ylast = y[-1]
     chosen = [0] * k
     bad: set[int] = set()
@@ -113,11 +113,11 @@ def _forbidden_letters(w: Word, y: Word) -> set[int]:
     def extend(s: int, start: int, lo: int, hi: int, tied: int) -> None:
         if s == k:
             if tied:
-                if tied <= last:
+                if tied in kept:
                     bad.add(tied)
             else:
-                bad.update(range(lo + 1, min(hi, last + 1)))
-                bad.update(range(max(lo, last) + 1, min(hi, top) + 1))
+                # a = upper completes y only as a new value: bumped, not kept.
+                bad.update(range(lo + 1, hi if hi in kept else hi + 1))
             return
         ys = y[s]
         seen = set()
@@ -142,25 +142,23 @@ def _forbidden_letters(w: Word, y: Word) -> set[int]:
                 else:
                     extend(s + 1, i + 1, lo, hi, v)
 
-    extend(0, 0, 0, top, 0)
+    extend(0, 0, 0, bumped[-1], 0)
     return bad
 
 
 @lru_cache(maxsize=None)
 def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
+    """Level n of the class's generating tree (see `words`) with, below
+    each parent, the children that contain a pattern left out."""
     if n == 0:
         return ((),)
-    out = []
-    for w in _avoider_level(n - 1, pats, cls):
-        bad = set().union(*(_forbidden_letters(w, y) for y in pats))
-        last = w[-1] if w else 0
-        for a in range(1, last if cls == "prim" else last + 1):
-            if a not in bad:
-                out.append(w + (a,))
-        for a in range(last + 1, max(w, default=0) + 2):
-            if a not in bad:
-                out.append(tuple(v + 1 if v >= a else v for v in w) + (a,))
-    return tuple(out)
+    return tuple(
+        c
+        for w in _avoider_level(n - 1, pats, cls)
+        for c in _children(
+            w, cls == "prim", set().union(*(_forbidden_letters(w, y) for y in pats))
+        )
+    )
 
 
 def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ...]:

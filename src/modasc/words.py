@@ -7,21 +7,19 @@ permutation in which the ascent tops are precisely the leftmost copies
 of the values (see `is_modasc`).  Words with no two equal adjacent
 letters are called primitive.
 
-Generation works by growing words one letter at a time: a modified
-ascent sequence of length n with maximum m has exactly m + 1 extensions
-of length n + 1, obtained either by appending a letter at most the last
-letter, or by appending a strictly larger letter a and first bumping
-every old letter >= a up by one.  `iter_modasc` and `iter_prim` keep
-this generation order, which from n = 4 on is not lexicographic.
+Generation grows words one letter at a time by one succession rule.  The
+children of a modified ascent sequence depend only on its label (m, l),
+its maximum and its last letter, and the empty word has the label (0, 0):
 
-The children of a word depend only on its label (m, l), its maximum and
-its last letter, so the tree is the succession rule
+    (m, l) -> (m, a) for 1 <= a <= l,  (m + 1, a) for l < a <= m + 1,
 
-    (0, 0);  (m, l) -> (m, a) for 1 <= a <= l,  (m + 1, a) for l < a <= m + 1,
-
-whose root (0, 0) is the empty word, with a < l in place of a <= l for
-the primitive words.  `count_level` counts a level from the labels
-alone, without building any word.
+with 1 <= a < l in the first range for the primitive words.  A letter
+a <= l is appended as it is; a larger one is a new value, appended after
+every old letter >= a is bumped up by one.  `_letters` states the rule,
+`_children` applies it to a word and `count_level` to the labels alone.
+`_level` (and `iter_modasc`, `iter_prim`) keep the generation order,
+which from n = 4 on is not lexicographic; `patterns` builds its avoider
+levels by the same step, leaving out the letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -203,44 +201,48 @@ def is_prim(x: Word) -> bool:
     return not has_flat_steps(x) and is_modasc(x)
 
 
-def _children(x: Word) -> Iterator[Word]:
-    """All one-letter extensions of a modified ascent sequence."""
-    if not x:
-        yield (1,)
-        return
-    last = x[-1]
-    m = max(x)
-    for a in range(1, last + 1):
-        yield x + (a,)
-    for a in range(last + 1, m + 2):
-        yield tuple(v + 1 if v >= a else v for v in x) + (a,)
+def _letters(m: int, last: int, prim: bool) -> tuple[range, range]:
+    """The letters that end the children of a word with maximum m and
+    last letter `last`, by the rule above: those appended as they are,
+    and those appended after a bump.  The empty word has m = last = 0.
+
+    >>> [list(r) for r in _letters(3, 2, False)]  # children of 1 3 1 2
+    [[1, 2], [3, 4]]
+    >>> [list(r) for r in _letters(0, 0, True)]  # the empty word's child (1,)
+    [[], [1]]
+    """
+    return range(1, last if prim else last + 1), range(last + 1, m + 2)
 
 
-def _children_prim(x: Word) -> Iterator[Word]:
-    """One-letter extensions that keep the word primitive."""
-    if not x:
-        yield (1,)
-        return
-    last = x[-1]
-    m = max(x)
-    for a in range(1, last):
-        yield x + (a,)
-    for a in range(last + 1, m + 2):
-        yield tuple(v + 1 if v >= a else v for v in x) + (a,)
+def _children(w: Word, prim: bool, bad=()) -> Iterator[Word]:
+    """The children of w in generation order, leaving out every child
+    whose last letter is in `bad`.
+
+    >>> list(_children((1, 3, 1, 2), False))
+    [(1, 3, 1, 2, 1), (1, 3, 1, 2, 2), (1, 4, 1, 2, 3), (1, 3, 1, 2, 4)]
+    >>> list(_children((1, 3, 1, 2), True, bad={4}))
+    [(1, 3, 1, 2, 1), (1, 4, 1, 2, 3)]
+    """
+    kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, prim)
+    for a in kept:
+        if a not in bad:
+            yield w + (a,)
+    for a in bumped:
+        if a not in bad:
+            yield tuple(v + 1 if v >= a else v for v in w) + (a,)
 
 
 @lru_cache(maxsize=None)
 def _level(n: int, prim: bool) -> tuple[Word, ...]:
+    """Level n of the generating tree above, in generation order."""
     if n == 0:
         return ((),)
-    prev = _level(n - 1, prim)
-    extend = _children_prim if prim else _children
-    return tuple(c for w in prev for c in extend(w))
+    return tuple(c for w in _level(n - 1, prim) for c in _children(w, prim))
 
 
 def count_level(n: int, prim: bool) -> int:
     """Number of modified ascent sequences of length n (primitive ones if
-    `prim`), summed over the (max, last) labels of the generating tree.
+    `prim`), summed over the (max, last) labels of the rule above.
 
     >>> [count_level(n, False) for n in range(7)]
     [1, 1, 2, 5, 15, 53, 217]
@@ -253,9 +255,10 @@ def count_level(n: int, prim: bool) -> int:
     for _ in range(n):
         grown: Counter[tuple[int, int]] = Counter()
         for (m, last), c in labels.items():
-            for a in range(1, last if prim else last + 1):
+            kept, bumped = _letters(m, last, prim)
+            for a in kept:
                 grown[m, a] += c
-            for a in range(last + 1, m + 2):
+            for a in bumped:
                 grown[m + 1, a] += c
         labels = grown
     return sum(labels.values())

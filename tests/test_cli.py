@@ -92,7 +92,14 @@ def test_cap_blocks_large_runs(capsys):
     assert "exceeds the enumeration cap 10" in err
 
 
-@pytest.mark.parametrize("argv", [["verify", "--n", "12"], ["table", "--n", "15"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "12"],
+        ["table", "--n", "15"],
+        ["experiment", "--check", "modasc211-vs-1223", "--order", "20"],
+    ],
+)
 def test_cap_blocks_verify_and_table(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -156,15 +163,6 @@ def test_fp_cap_rejects_garbage(capsys, monkeypatch):
     code, _, err = run(capsys, ["count", "--n", "2"])
     assert code == 2
     assert "positive" in err
-
-
-def test_jobs_validation(capsys):
-    code, _, err = run(capsys, ["--jobs", "0", "count", "--n", "2"])
-    assert code == 2
-    assert "--jobs" in err
-    code, out, _ = run(capsys, ["--jobs", "4", "count", "--n", "2"])
-    assert code == 0
-    assert out == "2\n"
 
 
 def test_seedless(capsys):
@@ -321,8 +319,8 @@ def test_experiment_122_vs_211(capsys):
 
 def test_experiment_211_vs_1223(capsys):
     code, out, err = run(
-        capsys, ["experiment", "--check", "modasc211-vs-1223", "--order", "20"]
+        capsys, ["experiment", "--check", "modasc211-vs-1223", "--order", "10"]
     )
     assert code == 0
     assert out.splitlines()[-1].endswith("agree on n<=10")
-    assert "clamped" in err
+    assert err == ""

@@ -64,3 +64,24 @@ def test_avoider_level_matches_filtered_level(texts):
                 if not any(patterns.contains(x, y) for y in ys)
             )
             assert level == filtered, (texts, cls, n)
+
+
+@pytest.mark.parametrize("cls", ["modasc", "prim"])
+def test_avoider_level_of_no_pattern_is_level(cls):
+    for n in range(10):
+        assert patterns._avoider_level(n, frozenset(), cls) == words._level(
+            n, cls == "prim"
+        ), (cls, n)
+
+
+def _brute_perms_avoiding_32_1(n):
+    return [
+        p
+        for p in itertools.permutations(range(1, n + 1))
+        if not patterns.contains_special(p, "32-1")
+    ]
+
+
+def test_32_1_tree_matches_filter():
+    for n in range(9):
+        assert sorted(checks._perms_avoiding_32_1(n)) == _brute_perms_avoiding_32_1(n), n
