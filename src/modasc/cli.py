@@ -108,17 +108,18 @@ def cmd_count(args) -> int:
         raise _usage_error("give exactly one of --n or --upto")
     top = args.n if args.n is not None else args.upto
     _check_cap(top, args.cap)
+    if args.cls == "cayley" and args.avoid:
+        raise _usage_error("--avoid needs --class modasc or prim")
+    pats = _parse_avoid(args.avoid) if args.avoid else None
 
     def one(n: int) -> int:
         if args.cls == "cayley":
             _check_cap(n, words.ENDOFUNCTION_CAP, "cayley length")
             return sum(1 for _ in words.iter_cayley(n))
-        if args.avoid:
-            return patterns.count_avoiders(n, _parse_avoid(args.avoid), args.cls)
+        if pats:
+            return patterns.count_avoiders(n, pats, args.cls)
         return words.count_level(n, args.cls == "prim")
 
-    if args.cls == "cayley" and args.avoid:
-        raise _usage_error("--avoid needs --class modasc or prim")
     if args.n is not None:
         print(one(args.n))
     else:

@@ -25,6 +25,16 @@ above) and maybe a value tied with y's last.  It forbids the child
 letter equal to the tied value if that letter is appended as it is, or
 with no tied value every appended a with lower < a < upper and every
 bumped a (a new value, the only copy of itself) with lower < a <= upper.
+
+The search follows a plan made once per pattern for a level or a count
+(`_plan`): each step of y is compared only with the earlier step of the
+nearest value below it and the one of the nearest value above, or, if
+an earlier step is tied with it, is placed at the next copy of that
+step's value.  The same plan gives the bounds and the tied value above.
+`count_avoiders` counts level n from its parents: it builds level
+n - 1 and adds, for each parent, the letters that no pattern forbids.
+`contains` shares none of this; it is the oracle the search is tested
+against.
 """
 
 from __future__ import annotations
@@ -35,6 +45,9 @@ from typing import Iterable
 from .words import Word, _children, _letters, is_cayley
 
 Perm = tuple[int, ...]
+
+# Per step of a pattern: the earlier steps below, above and tied (`_plan`).
+Plan = tuple[tuple[int, int, int], ...]
 
 SPECIAL_PATTERNS = ("omega", "zeta", "32-1")
 
@@ -96,54 +109,97 @@ def contains(x: Word, y: Word) -> bool:
     return extend(0, 0)
 
 
-def _forbidden_letters(w: Word, y: Word) -> set[int]:
-    """The letters whose child of w contains y, by the rule above.
+def _plan(y: Word) -> Plan:
+    """For each step s of y, the earlier steps its value is compared with:
+    one with the nearest value below y[s], one with the nearest value above
+    and one tied with it.  A missing step is -2 below, -1 above and -1
+    tied: `_forbidden_letters` reads the bounds of a missing step from two
+    sentinel slots at the end of its list of chosen values.
 
-    >>> sorted(_forbidden_letters((1, 2), (1, 2, 2)))  # 1 2 2
+    Occurrences of a Cayley permutation are order isomorphic on every
+    prefix, so these two (or one) comparisons imply all the others.
+
+    >>> _plan((2, 3, 2, 1))
+    ((-2, -1, -1), (0, -1, -1), (-2, 1, 0), (-2, 0, -1))
+    """
+    plan = []
+    for s, ys in enumerate(y):
+        earlier = range(s)
+        below = max((t for t in earlier if y[t] < ys), key=y.__getitem__, default=-2)
+        above = min((t for t in earlier if y[t] > ys), key=y.__getitem__, default=-1)
+        first = y.index(ys)
+        tied = first if first < s else -1
+        plan.append((below, above, tied))
+    return tuple(plan)
+
+
+def _forbidden_letters(w: Word, plan: Plan) -> set[int]:
+    """The letters a whose child of w has an occurrence of the pattern y
+    of `plan = _plan(y)` that ends at a, by the rule above; if w avoids
+    y, the letters whose child contains y.
+
+    >>> sorted(_forbidden_letters((1, 2), _plan((1, 2, 2))))  # 1 2 2
     [2]
-    >>> sorted(_forbidden_letters((1, 2, 1), (1, 3, 2)))  # 1 3 1 2
+    >>> sorted(_forbidden_letters((1, 2, 1), _plan((1, 3, 2))))  # 1 3 1 2
     [2]
     """
-    k = len(y) - 1
     kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, False)
-    ylast = y[-1]
-    chosen = [0] * k
+    k = len(plan) - 1
+    # chosen[-2] and chosen[-1] bound a step with no earlier step below or
+    # above it: 0 and the largest letter a child may end with.
+    chosen = [0] * k + [0, bumped[-1]]
     bad: set[int] = set()
-
-    def extend(s: int, start: int, lo: int, hi: int, tied: int) -> None:
-        if s == k:
-            if tied:
-                if tied in kept:
-                    bad.add(tied)
-            else:
-                # a = upper completes y only as a new value: bumped, not kept.
-                bad.update(range(lo + 1, hi if hi in kept else hi + 1))
-            return
-        ys = y[s]
-        seen = set()
-        # The leftmost copy of a value reaches every later occurrence, so
-        # each distinct value tuple is visited once.
-        for i in range(start, len(w) - (k - s) + 1):
-            v = w[i]
-            if v in seen:
-                continue
-            seen.add(v)
-            for t in range(s):
-                yt = y[t]
-                vt = chosen[t]
-                if (vt >= v) if yt < ys else (vt != v) if yt == ys else (vt <= v):
-                    break
-            else:
-                chosen[s] = v
-                if ys < ylast:
-                    extend(s + 1, i + 1, max(lo, v), hi, tied)
-                elif ys > ylast:
-                    extend(s + 1, i + 1, lo, min(hi, v), tied)
-                else:
-                    extend(s + 1, i + 1, lo, hi, v)
-
-    extend(0, 0, 0, bumped[-1], 0)
+    _search(w, plan, chosen, 0, 0, len(w) - k + 1, kept, bad)
     return bad
+
+
+def _search(
+    w: Word,
+    plan: Plan,
+    chosen: list[int],
+    s: int,
+    start: int,
+    stop: int,
+    kept: range,
+    bad: set[int],
+) -> None:
+    """Extend the occurrence of y[:s] in `chosen` by step s, at a position
+    in range(start, stop) of w, and add to `bad` the letters that complete
+    one to y once all of y[:-1] is placed."""
+    below, above, tied = plan[s]
+    if s == len(plan) - 1:
+        if tied >= 0:
+            if chosen[tied] in kept:
+                bad.add(chosen[tied])
+        else:
+            lo, hi = chosen[below], chosen[above]
+            # a = upper completes y only as a new value: bumped, not kept.
+            bad.update(range(lo + 1, hi if hi in kept else hi + 1))
+        return
+    if tied >= 0:
+        # The leftmost copy of the tied value reaches every later occurrence.
+        v = chosen[tied]
+        try:
+            i = w.index(v, start, stop)
+        except ValueError:
+            return
+        chosen[s] = v
+        _search(w, plan, chosen, s + 1, i + 1, stop + 1, kept, bad)
+        return
+    lo, hi = chosen[below], chosen[above]
+    seen = set()
+    # Likewise for each value between the bounds: one visit per value tuple.
+    for i in range(start, stop):
+        v = w[i]
+        if lo < v < hi and v not in seen:
+            seen.add(v)
+            chosen[s] = v
+            _search(w, plan, chosen, s + 1, i + 1, stop + 1, kept, bad)
+
+
+def _forbidden(w: Word, plans: list[Plan]) -> set[int]:
+    """The union of `_forbidden_letters(w, plan)` over the plans."""
+    return set().union(*(_forbidden_letters(w, plan) for plan in plans))
 
 
 @lru_cache(maxsize=None)
@@ -152,17 +208,16 @@ def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     each parent, the children that contain a pattern left out."""
     if n == 0:
         return ((),)
+    plans = [_plan(y) for y in pats]
     return tuple(
         c
         for w in _avoider_level(n - 1, pats, cls)
-        for c in _children(
-            w, cls == "prim", set().union(*(_forbidden_letters(w, y) for y in pats))
-        )
+        for c in _children(w, cls == "prim", _forbidden(w, plans))
     )
 
 
-def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ...]:
-    """`_avoider_level` after checking the class, the length and the patterns."""
+def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
+    """The patterns as a set, after checking the class, the length and them."""
     if cls not in ("modasc", "prim"):
         raise ValueError(f"unknown class {cls!r}; expected 'modasc' or 'prim'")
     if n < 0:
@@ -173,7 +228,12 @@ def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ..
             raise ValueError("patterns must be nonempty")
         if not is_cayley(y):
             raise ValueError(f"pattern {y} is not a Cayley permutation")
-    return _avoider_level(n, pats, cls)
+    return pats
+
+
+def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ...]:
+    """`_avoider_level` after checking the class, the length and the patterns."""
+    return _avoider_level(n, _checked(n, patterns, cls), cls)
 
 
 def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word]:
@@ -186,7 +246,26 @@ def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:
-    return len(_checked_level(n, patterns, cls))
+    """Number of length-n members of the class avoiding every given
+    pattern, counted from their parents: level n - 1 is built (and kept
+    in the cache of `_avoider_level`), level n is not.  Each parent adds
+    its children's letters that no pattern forbids.
+
+    >>> [count_avoiders(n, [(2, 3, 2, 1)]) for n in range(8)]  # Bell numbers
+    [1, 1, 2, 5, 15, 52, 203, 877]
+    >>> count_avoiders(6, [(2, 3, 2, 1)], "prim")
+    52
+    """
+    pats = _checked(n, patterns, cls)
+    if n == 0:
+        return 1
+    plans = [_plan(y) for y in pats]
+    total = 0
+    for w in _avoider_level(n - 1, pats, cls):
+        bad = _forbidden(w, plans)
+        for letters in _letters(max(w, default=0), w[-1] if w else 0, cls == "prim"):
+            total += sum(a not in bad for a in letters)
+    return total
 
 
 def _is_permutation(p: Perm) -> bool:

@@ -73,6 +73,27 @@ def test_count_with_avoid(capsys):
     assert out == "52\n"
 
 
+def test_count_upto_with_avoid(capsys):
+    code, out, _ = run(capsys, ["count", "--upto", "5", "--avoid", "2321"])
+    assert code == 0
+    assert out == "0 1\n1 1\n2 2\n3 5\n4 15\n5 52\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--upto", "3", "--avoid", "13"], "pattern '13' is not a Cayley"),
+        (["count", "--class", "cayley", "--upto", "3", "--avoid", "12"],
+         "--avoid needs --class modasc or prim"),
+    ],
+)
+def test_count_rejects_bad_avoid(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_count_cayley(capsys):
     code, out, _ = run(capsys, ["count", "--class", "cayley", "--n", "4"])
     assert code == 0

@@ -44,6 +44,27 @@ def test_contains_matches_brute_force(x):
         assert patterns.contains(x, y) == brute_contains(x, y), (x, y)
 
 
+def brute_ends_with(x, y):
+    """Try every choice of len(y) positions of x that ends at its last."""
+    last = len(x) - 1
+    return any(
+        standardize(tuple(x[i] for i in positions) + (x[last],)) == y
+        for positions in itertools.combinations(range(last), len(y) - 1)
+    )
+
+
+def test_forbidden_letters_match_brute_force():
+    # A child without its last letter is order isomorphic to its parent, so
+    # on a parent that avoids y these are the letters whose child contains y.
+    for n in range(6):
+        for w in words._level(n, False):
+            children = list(words._children(w, False))
+            for y in CAYLEY_PATTERNS:
+                want = {c[-1] for c in children if brute_ends_with(c, y)}
+                got = patterns._forbidden_letters(w, patterns._plan(y))
+                assert got == want, (w, y)
+
+
 def _pattern_sets():
     texts = {p for row in counting.TABLE1 for p in row.patterns}
     texts |= {text for text, _ in counting.TABLE2}
@@ -64,6 +85,23 @@ def test_avoider_level_matches_filtered_level(texts):
                 if not any(patterns.contains(x, y) for y in ys)
             )
             assert level == filtered, (texts, cls, n)
+
+
+@pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)
+def test_count_avoiders_matches_level_length(texts):
+    ys = [patterns.parse_pattern(t) for t in texts]
+    for cls in ("modasc", "prim"):
+        for n in range(10):
+            want = len(patterns._avoider_level(n, frozenset(ys), cls))
+            assert patterns.count_avoiders(n, ys, cls) == want, (texts, cls, n)
+
+
+def test_count_avoiders_matches_level_length_every_short_pattern():
+    for y in CAYLEY_PATTERNS:
+        for cls in ("modasc", "prim"):
+            for n in range(8):
+                want = len(patterns._avoider_level(n, frozenset([y]), cls))
+                assert patterns.count_avoiders(n, [y], cls) == want, (y, cls, n)
 
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])

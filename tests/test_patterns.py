@@ -68,6 +68,13 @@ def test_count_avoiders_rejects_bad_input():
         patterns.count_avoiders(3, [(1, 2)], "perm")
     with pytest.raises(ValueError):
         patterns.count_avoiders(3, [(1, 3)])
+    # the length is checked before level n - 1 is looked up
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(0, [(1, 3)])
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(0, [()])
+    with pytest.raises(ValueError):
+        patterns.count_avoiders(0, [(1, 2)], "perm")
 
 
 def test_containment_hereditary():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from modasc import cli, words
+from modasc import cli, patterns, words
 from modasc.counting import binomial_transform_count, fubini
 from modasc.series import IntSeries
 
@@ -172,6 +172,14 @@ def test_count_builds_no_level(capsys):
         assert cli.main(["count", "--class", cls, "--n", "9"]) == 0
         assert words._level.cache_info().currsize == 0
     assert capsys.readouterr().out == f"{MODASC_COUNTS[9]}\n{PRIM_COUNTS[9]}\n"
+
+
+def test_count_avoid_builds_no_level_n(capsys):
+    patterns._avoider_level.cache_clear()
+    assert cli.main(["count", "--n", "9", "--avoid", "2321"]) == 0
+    assert capsys.readouterr().out == "21147\n"
+    # levels 0..8, counted from level 8's parents
+    assert patterns._avoider_level.cache_info().currsize == 9
 
 
 def test_generate_modasc_order():
