@@ -94,10 +94,8 @@ def cmd_generate(args) -> int:
         out = sorted(words.iter_cayley(args.n))
     elif args.avoid:
         out = patterns.avoiders(args.n, _parse_avoid(args.avoid), args.cls)
-    elif args.cls == "prim":
-        out = words.generate_prim(args.n)
     else:
-        out = words.generate_modasc(args.n)
+        out = words.iter_sorted(args.n, args.cls == "prim")
     for w in out:
         print(words.format_word(w))
     return 0
@@ -122,6 +120,9 @@ def cmd_count(args) -> int:
 
     if args.n is not None:
         print(one(args.n))
+    elif pats:
+        for n, c in enumerate(patterns.count_avoiders_upto(top, pats, args.cls)):
+            print(n, c)
     else:
         for n in range(top + 1):
             print(n, one(n))
@@ -198,16 +199,18 @@ def cmd_table(args) -> int:
         ):
             comparisons += 1
             bad = None
+            top = min(offset + len(quoted) - 1, args.cap)
+            oracle = patterns.count_avoiders_upto(
+                top, (patterns.parse_pattern(text),), cls
+            )
             for i, v in enumerate(quoted):
                 n = offset + i
                 if counting.closed_counts(text, cls, n) != v:
                     bad = f"formula differs at n={n}"
                     break
-                if n <= args.cap and n >= 1:
-                    pat = patterns.parse_pattern(text)
-                    if patterns.count_avoiders(n, (pat,), cls) != v:
-                        bad = f"oracle differs at n={n}"
-                        break
+                if 1 <= n <= args.cap and oracle[n] != v:
+                    bad = f"oracle differs at n={n}"
+                    break
             shown = ",".join(map(str, quoted))
             if bad is None:
                 _print_row("quoted", text, cls, "ok", shown)
@@ -280,10 +283,9 @@ def cmd_experiment(args) -> int:
     n_max = args.order
 
     def counts(text: str, cls: str = "modasc") -> list[int]:
-        pat = patterns.parse_pattern(text)
-        return [
-            patterns.count_avoiders(n, (pat,), cls) for n in range(n_max + 1)
-        ]
+        return patterns.count_avoiders_upto(
+            n_max, (patterns.parse_pattern(text),), cls
+        )
 
     if args.check == "modasc122-vs-211":
         # Tries the guessed relation a122 = (1-t) * a211 coefficientwise,

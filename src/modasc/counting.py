@@ -322,9 +322,8 @@ class CountTable:
 def oracle_table(pattern, cls: str, n_max: int) -> CountTable:
     """Counts by explicit generation, lengths 1..n_max."""
     pat = _patterns.parse_pattern(_pattern_text(pattern))
-    vals = tuple(
-        (n, _patterns.count_avoiders(n, (pat,), cls)) for n in range(1, n_max + 1)
-    )
+    counts = _patterns.count_avoiders_upto(n_max, (pat,), cls)
+    vals = tuple(enumerate(counts))[1:]
     return CountTable(f"{_pattern_text(pattern)}-{cls}", vals, "oracle")
 
 

@@ -33,6 +33,8 @@ an earlier step is tied with it, is placed at the next copy of that
 step's value.  The same plan gives the bounds and the tied value above.
 `count_avoiders` counts level n from its parents: it builds level
 n - 1 and adds, for each parent, the letters that no pattern forbids.
+`count_avoiders_upto` counts every length up to n by the same search,
+taking the shorter lengths from the levels that search builds.
 `contains` shares none of this; it is the oracle the search is tested
 against.
 """
@@ -256,7 +258,27 @@ def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int
     >>> count_avoiders(6, [(2, 3, 2, 1)], "prim")
     52
     """
+    return _count_from_parents(n, _checked(n, patterns, cls), cls)
+
+
+def count_avoiders_upto(
+    n: int, patterns: Iterable[Word], cls: str = "modasc"
+) -> list[int]:
+    """`[count_avoiders(k, patterns, cls) for k in range(n + 1)]`, with
+    each level searched once: the lengths below n are the lengths of the
+    levels that counting length n from its parents builds anyway.
+
+    >>> count_avoiders_upto(7, [(2, 3, 2, 1)])  # Bell numbers
+    [1, 1, 2, 5, 15, 52, 203, 877]
+    """
     pats = _checked(n, patterns, cls)
+    below = [len(_avoider_level(k, pats, cls)) for k in range(n)]
+    return below + [_count_from_parents(n, pats, cls)]
+
+
+def _count_from_parents(n: int, pats: frozenset[Word], cls: str) -> int:
+    """Length n's avoiders of the checked patterns, counted from the
+    parents at level n - 1."""
     if n == 0:
         return 1
     plans = [_plan(y) for y in pats]

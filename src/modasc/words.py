@@ -18,8 +18,11 @@ a <= l is appended as it is; a larger one is a new value, appended after
 every old letter >= a is bumped up by one.  `_letters` states the rule,
 `_children` applies it to a word and `count_level` to the labels alone.
 `_level` (and `iter_modasc`, `iter_prim`) keep the generation order,
-which from n = 4 on is not lexicographic; `patterns` builds its avoider
-levels by the same step, leaving out the letters a pattern forbids.
+which from n = 4 on is not lexicographic, in an unbounded cache.
+`iter_sorted` (and `generate_modasc`, `generate_prim`) expand the cached
+level n - 1 once and sort level n as byte strings, so level n is never
+cached.  `patterns` builds its avoider levels by the same step, leaving
+out the letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -278,18 +281,41 @@ def iter_prim(n: int) -> Iterator[Word]:
     return iter(_level(n, True))
 
 
+def iter_sorted(n: int, prim: bool) -> Iterator[Word]:
+    """Stream level n (the primitive words if `prim`) in lexicographic
+    order, sorted from its parents.
+
+    Level n - 1 is looked up in the cache of `_level`; level n is neither
+    cached nor held as tuples.  Each child is kept only as `bytes(child)`:
+    its letters are at most n, so they fit in a byte for n < 256, and byte
+    strings of equal length sort like the tuples.
+
+    >>> list(iter_sorted(3, True))
+    [(1, 2, 1), (1, 2, 3)]
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if n == 0:
+        return iter([()])
+    keys = [bytes(c) for w in _level(n - 1, prim) for c in _children(w, prim)]
+    keys.sort()
+    return map(tuple, keys)
+
+
 def generate_modasc(n: int) -> list[Word]:
-    """All modified ascent sequences of length n, lexicographically sorted.
+    """All modified ascent sequences of length n, lexicographically sorted
+    from level n - 1 by `iter_sorted`; level n is not cached.
 
     >>> generate_modasc(3)
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
-    return sorted(iter_modasc(n))
+    return list(iter_sorted(n, False))
 
 
 def generate_prim(n: int) -> list[Word]:
-    """All primitive modified ascent sequences of length n, sorted."""
-    return sorted(iter_prim(n))
+    """All primitive modified ascent sequences of length n, sorted from
+    level n - 1 by `iter_sorted`; level n is not cached."""
+    return list(iter_sorted(n, True))
 
 
 def iter_cayley(n: int) -> Iterator[Word]:

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from modasc import words
 from modasc.cli import main
 
 GENERATE_MODASC_3 = "1 1 1\n1 1 2\n1 2 1\n1 2 2\n1 2 3\n"
@@ -21,6 +22,15 @@ def test_generate_modasc(capsys):
     code, out, _ = run(capsys, ["generate", "--class", "modasc", "--n", "3"])
     assert code == 0
     assert out == GENERATE_MODASC_3
+
+
+@pytest.mark.parametrize("cls", ["modasc", "prim"])
+def test_generate_prints_the_sorted_level(capsys, cls):
+    for n in range(8):
+        code, out, _ = run(capsys, ["generate", "--class", cls, "--n", str(n)])
+        assert code == 0
+        level = sorted(words._level(n, cls == "prim"))
+        assert out == "".join(words.format_word(w) + "\n" for w in level), (cls, n)
 
 
 def test_generate_with_avoid(capsys):
@@ -77,6 +87,13 @@ def test_count_upto_with_avoid(capsys):
     code, out, _ = run(capsys, ["count", "--upto", "5", "--avoid", "2321"])
     assert code == 0
     assert out == "0 1\n1 1\n2 2\n3 5\n4 15\n5 52\n"
+
+
+def test_count_upto_prim_with_avoid(capsys):
+    argv = ["count", "--class", "prim", "--upto", "6", "--avoid", "2321"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == "0 1\n1 1\n2 1\n3 2\n4 5\n5 15\n6 52\n"
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,16 @@ def test_count_avoiders_matches_level_length(texts):
             assert patterns.count_avoiders(n, ys, cls) == want, (texts, cls, n)
 
 
+@pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)
+def test_count_avoiders_upto_matches_count_avoiders(texts):
+    ys = [patterns.parse_pattern(t) for t in texts]
+    for cls in ("modasc", "prim"):
+        for top in range(9):
+            want = [patterns.count_avoiders(k, ys, cls) for k in range(top + 1)]
+            got = patterns.count_avoiders_upto(top, ys, cls)
+            assert got == want, (texts, cls, top)
+
+
 def test_count_avoiders_matches_level_length_every_short_pattern():
     for y in CAYLEY_PATTERNS:
         for cls in ("modasc", "prim"):

@@ -62,19 +62,20 @@ def test_avoiders_rejects_bad_input():
 
 
 def test_count_avoiders_rejects_bad_input():
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(-1, [(1, 2)])
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(3, [(1, 2)], "perm")
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(3, [(1, 3)])
-    # the length is checked before level n - 1 is looked up
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(0, [(1, 3)])
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(0, [()])
-    with pytest.raises(ValueError):
-        patterns.count_avoiders(0, [(1, 2)], "perm")
+    for count in (patterns.count_avoiders, patterns.count_avoiders_upto):
+        with pytest.raises(ValueError):
+            count(-1, [(1, 2)])
+        with pytest.raises(ValueError):
+            count(3, [(1, 2)], "perm")
+        with pytest.raises(ValueError):
+            count(3, [(1, 3)])
+        # the length is checked before level n - 1 is looked up
+        with pytest.raises(ValueError):
+            count(0, [(1, 3)])
+        with pytest.raises(ValueError):
+            count(0, [()])
+        with pytest.raises(ValueError):
+            count(0, [(1, 2)], "perm")
 
 
 def test_containment_hereditary():

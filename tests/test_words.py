@@ -182,6 +182,30 @@ def test_count_avoid_builds_no_level_n(capsys):
     assert patterns._avoider_level.cache_info().currsize == 9
 
 
+def test_iter_sorted_is_the_sorted_level():
+    for n in range(9):
+        for prim in (False, True):
+            assert list(words.iter_sorted(n, prim)) == sorted(words._level(n, prim))
+
+
+def test_iter_sorted_rejects_negative_length():
+    for prim in (False, True):
+        with pytest.raises(ValueError):
+            words.iter_sorted(-1, prim)
+
+
+@pytest.mark.parametrize("cls", ["modasc", "prim"])
+def test_generate_caches_levels_below_n(capsys, cls):
+    words._level.cache_clear()
+    assert cli.main(["generate", "--class", cls, "--n", "9"]) == 0
+    info = words._level.cache_info()
+    # levels 0..8: level 9 is sorted from level 8's children, not cached
+    assert info.currsize == 9
+    assert info.hits + info.misses > 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == words.count_level(9, cls == "prim")
+
+
 def test_generate_modasc_order():
     assert words.generate_modasc(3) == [
         (1, 1, 1),
