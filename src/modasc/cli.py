@@ -16,6 +16,7 @@ stderr.  Exit status: 0 success, 1 a comparison or check failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -25,6 +26,9 @@ import time
 from . import checks, counting, patterns, words
 
 DEFAULT_CAP = 10
+
+#: Words formatted and written by `generate` in one `sys.stdout.write`.
+WRITE_CHUNK = 4096
 
 EXPERIMENTS = ("modasc122-vs-211", "modasc211-vs-1223")
 
@@ -92,13 +96,27 @@ def cmd_generate(args) -> int:
             raise _usage_error("--avoid needs --class modasc or prim")
         _check_cap(args.n, words.ENDOFUNCTION_CAP, "cayley length")
         out = sorted(words.iter_cayley(args.n))
-    elif args.avoid:
-        out = patterns.avoiders(args.n, _parse_avoid(args.avoid), args.cls)
     else:
-        out = words.iter_sorted(args.n, args.cls == "prim")
-    for w in out:
-        print(words.format_word(w))
+        try:
+            if args.avoid:
+                pats = _parse_avoid(args.avoid)
+                out = patterns.sorted_avoider_keys(args.n, pats, args.cls)
+            else:
+                out = words.sorted_keys(args.n, args.cls == "prim")
+        except ValueError as exc:
+            raise _usage_error(str(exc))
+    _write_words(out, args.n)
     return 0
+
+
+def _write_words(out: list, n: int) -> None:
+    """Print the words of length n in `out` (tuples or byte strings), one
+    per line in `format_word`'s form, WRITE_CHUNK words to a write."""
+    line = " ".join(["%d"] * n) + "\n"
+    for i in range(0, len(out), WRITE_CHUNK):
+        chunk = out[i:i + WRITE_CHUNK]
+        letters = tuple(itertools.chain.from_iterable(chunk))
+        sys.stdout.write((line * len(chunk)) % letters)
 
 
 def cmd_count(args) -> int:

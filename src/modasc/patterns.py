@@ -44,7 +44,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .words import Word, _children, _letters, is_cayley
+from .words import (
+    Word,
+    _check_key_length,
+    _children,
+    _letters,
+    is_cayley,
+    sorted_children,
+)
 
 Perm = tuple[int, ...]
 
@@ -245,6 +252,26 @@ def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3)]
     """
     return sorted(_checked_level(n, patterns, cls))
+
+
+def sorted_avoider_keys(
+    n: int, patterns: Iterable[Word], cls: str = "modasc"
+) -> list[bytes]:
+    """`avoiders(n, patterns, cls)` as byte strings, one byte per letter,
+    expanded from the parents at level n - 1 by `words.sorted_children`;
+    level n is not cached.  Raises ValueError unless n <= `words.KEY_CAP`,
+    before any level is built.
+
+    >>> [list(k) for k in sorted_avoider_keys(3, [(1, 2, 2)])]
+    [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 3]]
+    """
+    pats = _checked(n, patterns, cls)
+    _check_key_length(n)
+    if n == 0:
+        return [b""]
+    plans = [_plan(y) for y in pats]
+    parents = _avoider_level(n - 1, pats, cls)
+    return sorted_children(parents, n, cls == "prim", lambda w: _forbidden(w, plans))
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:

@@ -19,10 +19,12 @@ every old letter >= a is bumped up by one.  `_letters` states the rule,
 `_children` applies it to a word and `count_level` to the labels alone.
 `_level` (and `iter_modasc`, `iter_prim`) keep the generation order,
 which from n = 4 on is not lexicographic, in an unbounded cache.
-`iter_sorted` (and `generate_modasc`, `generate_prim`) expand the cached
-level n - 1 once and sort level n as byte strings, so level n is never
-cached.  `patterns` builds its avoider levels by the same step, leaving
-out the letters a pattern forbids.
+`sorted_keys` expands the cached level n - 1 straight into byte strings,
+one byte per letter (so n <= KEY_CAP = 255), and sorts them; level n is
+never cached and never held as tuples.  `iter_sorted`, `generate_modasc`
+and `generate_prim` are its tuples.  `patterns` builds its avoider
+levels by the same step, and sorts the last one by the same expansion
+(`sorted_children`), leaving out the letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -38,7 +40,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -281,30 +283,83 @@ def iter_prim(n: int) -> Iterator[Word]:
     return iter(_level(n, True))
 
 
+#: Largest length whose words fit in byte strings: a letter is at most n.
+KEY_CAP = 255
+
+
+def _check_key_length(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= KEY_CAP."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if n > KEY_CAP:
+        raise ValueError(f"length {n} exceeds {KEY_CAP}: a letter must fit in a byte")
+
+
+def sorted_children(
+    parents: Iterable[Word],
+    n: int,
+    prim: bool,
+    forbidden: Callable[[Word], Container[int]] = lambda w: (),
+) -> list[bytes]:
+    """The children of `parents` (words of length n - 1, 1 <= n <= KEY_CAP)
+    as sorted byte strings, leaving out below each parent w the letters in
+    `forbidden(w)`.
+
+    A kept letter a appends the byte a to the parent's key; a bumped one
+    first maps every byte v >= a to v + 1 by one `bytes.translate` table.
+
+    >>> [list(k) for k in sorted_children(_level(2, False), 3, False, lambda w: {3})]
+    [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2]]
+    """
+    one = [bytes((a,)) for a in range(n + 1)]
+    bump = [
+        bytes(range(a)) + bytes(range(a + 1, 256)) + b"\xff" for a in range(n + 1)
+    ]
+    keys: list[bytes] = []
+    append = keys.append
+    for w in parents:
+        key = bytes(w)
+        bad = forbidden(w)
+        kept, bumped = _letters(max(key, default=0), key[-1] if key else 0, prim)
+        for a in kept:
+            if a not in bad:
+                append(key + one[a])
+        for a in bumped:
+            if a not in bad:
+                append(key.translate(bump[a]) + one[a])
+    keys.sort()
+    return keys
+
+
+def sorted_keys(n: int, prim: bool) -> list[bytes]:
+    """Level n (the primitive words if `prim`) as byte strings, one byte
+    per letter, in lexicographic order, expanded from the cached level
+    n - 1 by `sorted_children`; level n is not cached.  Byte strings of
+    equal length sort like the tuples.  Raises ValueError unless
+    0 <= n <= KEY_CAP, before any level is built.
+
+    >>> sorted_keys(3, True)
+    [b'\\x01\\x02\\x01', b'\\x01\\x02\\x03']
+    """
+    _check_key_length(n)
+    if n == 0:
+        return [b""]
+    return sorted_children(_level(n - 1, prim), n, prim)
+
+
 def iter_sorted(n: int, prim: bool) -> Iterator[Word]:
     """Stream level n (the primitive words if `prim`) in lexicographic
-    order, sorted from its parents.
-
-    Level n - 1 is looked up in the cache of `_level`; level n is neither
-    cached nor held as tuples.  Each child is kept only as `bytes(child)`:
-    its letters are at most n, so they fit in a byte for n < 256, and byte
-    strings of equal length sort like the tuples.
+    order: the tuples of `sorted_keys(n, prim)`.
 
     >>> list(iter_sorted(3, True))
     [(1, 2, 1), (1, 2, 3)]
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if n == 0:
-        return iter([()])
-    keys = [bytes(c) for w in _level(n - 1, prim) for c in _children(w, prim)]
-    keys.sort()
-    return map(tuple, keys)
+    return map(tuple, sorted_keys(n, prim))
 
 
 def generate_modasc(n: int) -> list[Word]:
     """All modified ascent sequences of length n, lexicographically sorted
-    from level n - 1 by `iter_sorted`; level n is not cached.
+    as the byte strings of `sorted_keys`; level n is not cached.
 
     >>> generate_modasc(3)
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
@@ -313,8 +368,8 @@ def generate_modasc(n: int) -> list[Word]:
 
 
 def generate_prim(n: int) -> list[Word]:
-    """All primitive modified ascent sequences of length n, sorted from
-    level n - 1 by `iter_sorted`; level n is not cached."""
+    """All primitive modified ascent sequences of length n, sorted as the
+    byte strings of `sorted_keys`; level n is not cached."""
     return list(iter_sorted(n, True))
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from modasc import words
+from modasc import cli, words
 from modasc.cli import main
 
 GENERATE_MODASC_3 = "1 1 1\n1 1 2\n1 2 1\n1 2 2\n1 2 3\n"
@@ -26,11 +26,43 @@ def test_generate_modasc(capsys):
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
 def test_generate_prints_the_sorted_level(capsys, cls):
-    for n in range(8):
+    # level 9 has more words than one write takes
+    assert words.count_level(9, cls == "prim") > cli.WRITE_CHUNK
+    for n in range(10):
         code, out, _ = run(capsys, ["generate", "--class", cls, "--n", str(n)])
         assert code == 0
         level = sorted(words._level(n, cls == "prim"))
         assert out == "".join(words.format_word(w) + "\n" for w in level), (cls, n)
+
+
+def test_generate_prints_two_digit_letters(capsys):
+    code, out, _ = run(capsys, ["generate", "--class", "prim", "--n", "10"])
+    assert code == 0
+    level = sorted(words._level(10, True))
+    assert out == "".join(words.format_word(w) + "\n" for w in level)
+    assert "1 2 3 4 5 6 7 8 9 10" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--class", "modasc"],
+        ["--class", "prim"],
+        ["--class", "cayley"],
+        ["--avoid", "2321"],
+    ],
+)
+def test_generate_empty_word(capsys, argv):
+    assert run(capsys, ["generate", "--n", "0", *argv]) == (0, "\n", "")
+
+
+def test_generate_rejects_letters_beyond_a_byte(capsys):
+    # nothing is built: the bound is checked before any level
+    for extra in ([], ["--avoid", "2321"]):
+        code, out, err = run(capsys, ["--cap", "300", "generate", "--n", "256", *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_generate_with_avoid(capsys):

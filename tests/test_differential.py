@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from modasc import checks, counting, patterns, words
+from modasc import checks, cli, counting, patterns, words
 
 
 def standardize(values):
@@ -85,6 +85,19 @@ def test_avoider_level_matches_filtered_level(texts):
                 if not any(patterns.contains(x, y) for y in ys)
             )
             assert level == filtered, (texts, cls, n)
+
+
+@pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)
+def test_generate_avoid_prints_the_avoiders(capsys, texts):
+    ys = [patterns.parse_pattern(t) for t in texts]
+    avoid = ",".join(texts)
+    for cls in ("modasc", "prim"):
+        for n in range(8):
+            argv = ["generate", "--class", cls, "--n", str(n), "--avoid", avoid]
+            assert cli.main(argv) == 0
+            level = patterns.avoiders(n, ys, cls)
+            want = "".join(words.format_word(w) + "\n" for w in level)
+            assert capsys.readouterr().out == want, (texts, cls, n)
 
 
 @pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)

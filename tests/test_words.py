@@ -194,6 +194,29 @@ def test_iter_sorted_rejects_negative_length():
             words.iter_sorted(-1, prim)
 
 
+def test_sorted_keys_reject_letters_beyond_a_byte():
+    words._level.cache_clear()
+    patterns._avoider_level.cache_clear()
+    for prim in (False, True):
+        for sort in (words.sorted_keys, words.iter_sorted):
+            with pytest.raises(ValueError):
+                sort(words.KEY_CAP + 1, prim)
+    with pytest.raises(ValueError):
+        patterns.sorted_avoider_keys(words.KEY_CAP + 1, [(2, 3, 2, 1)])
+    assert words._level.cache_info().currsize == 0
+    assert patterns._avoider_level.cache_info().currsize == 0
+
+
+def test_generate_avoid_caches_levels_below_n(capsys):
+    patterns._avoider_level.cache_clear()
+    assert cli.main(["generate", "--n", "9", "--avoid", "2321"]) == 0
+    info = patterns._avoider_level.cache_info()
+    # levels 0..8: level 9 is sorted from level 8's children, not cached
+    assert info.currsize == 9
+    assert info.hits + info.misses > 0
+    assert len(capsys.readouterr().out.splitlines()) == 21147
+
+
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
 def test_generate_caches_levels_below_n(capsys, cls):
     words._level.cache_clear()
