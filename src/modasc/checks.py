@@ -3,6 +3,7 @@
 Each check replays one statement of the theory at desk scale and
 returns None on success or a short witness string on failure.  Suites
 run in declaration order so the first failure is reproducible.
+`table_rows` replays the numeric tables of `counting` against the oracle.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from . import counting, maps, paths, patterns, words
 from .series import IntSeries
@@ -18,9 +19,15 @@ from .series import IntSeries
 
 @dataclass(frozen=True)
 class Caps:
-    words: int = 10
-    paths: int = 12
-    partitions: int = 12
+    """Word lengths up to `words`; paths and partitions three further, to 12."""
+
+    words: int
+
+    @property
+    def paths(self) -> int:
+        return min(self.words + 3, 12)
+
+    partitions = paths
 
 
 @dataclass(frozen=True)
@@ -351,8 +358,10 @@ def check_series_prim122(caps: Caps) -> str | None:
     for n in range(1, SERIES_ORDER + 1):
         if prim[n] != counting.closed_counts("122", "prim", n):
             return f"series and formula differ at n={n}"
-    for n in range(1, min(caps.words, 10) + 1):
-        if prim[n] != counting.oracle_table("122", "prim", n).value(n):
+    top = min(caps.words, 10)
+    oracle = patterns.count_avoiders_upto(top, ((1, 2, 2),), "prim")
+    for n in range(1, top + 1):
+        if prim[n] != oracle[n]:
             return f"series and oracle differ at n={n}"
     return None
 
@@ -479,17 +488,87 @@ def check_insertion_221(caps: Caps) -> str | None:
 
 
 def check_printed_sequences(caps: Caps) -> str | None:
-    for (text, cls), (offset, values) in counting.PRINTED_SEQUENCES.items():
-        pat = patterns.parse_pattern(text)
-        top = min(offset + len(values) - 1, caps.words)
-        oracle = patterns.count_avoiders_upto(top, (pat,), cls)
-        for i, v in enumerate(values):
-            n = offset + i
-            if counting.closed_counts(text, cls, n) != v:
-                return f"formula misses {text}/{cls} quoted value at n={n}"
-            if n <= caps.words and oracle[n] != v:
-                return f"oracle misses {text}/{cls} quoted value at n={n}"
+    for row in table_rows(("quoted",), caps.words, caps.words):
+        if row.verdict == "FAIL":
+            return f"{row.patterns}/{row.cls} {row.detail}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the numeric tables
+
+
+class TableRow(NamedTuple):
+    kind: str  # "families", "golden" or "quoted"
+    patterns: str
+    cls: str
+    verdict: str  # "ok", "data" or "FAIL"
+    detail: str
+    comparisons: int
+
+
+def _oracle(text: str, cls: str, top: int) -> list[int]:
+    return patterns.count_avoiders_upto(top, (patterns.parse_pattern(text),), cls)
+
+
+def _shown(counts) -> str:
+    return ",".join(map(str, counts))
+
+
+def table_rows(kinds: Collection[str], n_max: int, cap: int) -> Iterator[TableRow]:
+    """Replay the tables of `counting` against the oracle, in the kind
+    order families (TABLE1 at lengths 1..n_max), golden (TABLE2 to the
+    pinned length, or n_max) and quoted (PRINTED_SEQUENCES against the
+    formula); the oracle stops at `cap`."""
+    if "families" in kinds:
+        for row in counting.TABLE1:
+            joined = ",".join(row.patterns)
+            for cls, family in (("modasc", row.modasc), ("prim", row.prim)):
+                vals = [tuple(_oracle(p, cls, n_max)[1:]) for p in row.patterns]
+                shown = _shown(vals[0])
+                if family is None:
+                    verdict = "data" if len(set(vals)) == 1 else "FAIL"
+                    yield TableRow("families", joined, cls, verdict, shown, len(vals) - 1)
+                    continue
+                formula = tuple(
+                    counting.closed_counts(row.patterns[0], cls, n)
+                    for n in range(1, n_max + 1)
+                )
+                if set(vals) == {formula}:
+                    yield TableRow("families", joined, cls, "ok", shown, len(vals))
+                else:
+                    detail = f"oracle {shown} formula {_shown(formula)}"
+                    yield TableRow("families", joined, cls, "FAIL", detail, len(vals))
+
+    if "golden" in kinds:
+        for (text, cls), pinned in sorted(counting.TABLE2.items()):
+            depth = min(len(pinned) if pinned else n_max, cap)
+            got = tuple(_oracle(text, cls, depth)[1:])
+            shown = _shown(got)
+            if pinned is None:
+                yield TableRow("golden", text, cls, "data", shown, 0)
+            elif got == pinned[:depth]:
+                yield TableRow("golden", text, cls, "ok", shown, 1)
+            else:
+                detail = f"oracle {shown} pinned {_shown(pinned[:depth])}"
+                yield TableRow("golden", text, cls, "FAIL", detail, 1)
+
+    if "quoted" in kinds:
+        for (text, cls), (offset, quoted) in sorted(counting.PRINTED_SEQUENCES.items()):
+            oracle = _oracle(text, cls, min(offset + len(quoted) - 1, cap))
+            bad = None
+            for n, v in enumerate(quoted, offset):
+                if counting.closed_counts(text, cls, n) != v:
+                    bad = f"formula differs at n={n}"
+                elif n <= cap and oracle[n] != v:
+                    bad = f"oracle differs at n={n}"
+                if bad:
+                    break
+            shown = _shown(quoted)
+            if bad is None:
+                yield TableRow("quoted", text, cls, "ok", shown, 1)
+            else:
+                yield TableRow("quoted", text, cls, "FAIL", f"{bad}; quoted {shown}", 1)
 
 
 Check = tuple[str, str, Callable[[Caps], "str | None"]]

@@ -65,6 +65,13 @@ def _check_cap(n: int, cap: int, what: str = "length") -> None:
         )
 
 
+def _check_cayley(n: int, avoid: str | None) -> None:
+    if avoid:
+        raise _usage_error("--avoid needs --class modasc or prim")
+    if n > words.ENDOFUNCTION_CAP:
+        raise _usage_error(f"cayley length {n} exceeds the fixed limit {words.ENDOFUNCTION_CAP}")
+
+
 def _parse_avoid(text: str) -> tuple[words.Word, ...]:
     try:
         return tuple(patterns.parse_pattern(part) for part in text.split(","))
@@ -90,11 +97,10 @@ def _parse_label(label: str) -> tuple[str, str]:
 
 
 def cmd_generate(args) -> int:
+    if args.cls == "cayley":
+        _check_cayley(args.n, args.avoid)
     _check_cap(args.n, args.cap)
     if args.cls == "cayley":
-        if args.avoid:
-            raise _usage_error("--avoid needs --class modasc or prim")
-        _check_cap(args.n, words.ENDOFUNCTION_CAP, "cayley length")
         out = sorted(words.iter_cayley(args.n))
     else:
         try:
@@ -123,14 +129,13 @@ def cmd_count(args) -> int:
     if (args.n is None) == (args.upto is None):
         raise _usage_error("give exactly one of --n or --upto")
     top = args.n if args.n is not None else args.upto
+    if args.cls == "cayley":
+        _check_cayley(top, args.avoid)
     _check_cap(top, args.cap)
-    if args.cls == "cayley" and args.avoid:
-        raise _usage_error("--avoid needs --class modasc or prim")
     pats = _parse_avoid(args.avoid) if args.avoid else None
 
     def one(n: int) -> int:
         if args.cls == "cayley":
-            _check_cap(n, words.ENDOFUNCTION_CAP, "cayley length")
             return sum(1 for _ in words.iter_cayley(n))
         if pats:
             return patterns.count_avoiders(n, pats, args.cls)
@@ -147,107 +152,21 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _print_row(kind: str, text: str, cls: str, verdict: str, detail: str) -> None:
-    print(f"[{kind}] {text} {cls} {verdict} {detail}")
-
-
 def cmd_table(args) -> int:
     _check_cap(args.n, args.cap)
-    n_max = args.n
-    failures = 0
-    comparisons = 0
-
-    if "families" in args.which:
-        for row in counting.TABLE1:
-            joined = ",".join(row.patterns)
-            for cls, family in (("modasc", row.modasc), ("prim", row.prim)):
-                tables = [
-                    counting.oracle_table(p, cls, n_max) for p in row.patterns
-                ]
-                vals = [tuple(c for _, c in t.values) for t in tables]
-                base = vals[0]
-                agree = all(v == base for v in vals[1:])
-                shown = ",".join(str(c) for c in base)
-                if family is None:
-                    verdict = "data" if agree else "FAIL"
-                    _print_row("families", joined, cls, verdict, shown)
-                    comparisons += len(vals) - 1
-                    failures += 0 if agree else 1
-                    continue
-                formula = tuple(
-                    counting.closed_counts(row.patterns[0], cls, n)
-                    for n in range(1, n_max + 1)
-                )
-                comparisons += len(vals)
-                if agree and base == formula:
-                    _print_row("families", joined, cls, "ok", shown)
-                else:
-                    failures += 1
-                    _print_row(
-                        "families",
-                        joined,
-                        cls,
-                        "FAIL",
-                        f"oracle {shown} formula {','.join(map(str, formula))}",
-                    )
-
-    if "golden" in args.which:
-        for (text, cls), pinned in sorted(counting.TABLE2.items()):
-            depth = min(len(pinned) if pinned else n_max, args.cap)
-            table = counting.oracle_table(text, cls, depth)
-            got = tuple(c for _, c in table.values)
-            shown = ",".join(map(str, got))
-            if pinned is None:
-                _print_row("golden", text, cls, "data", shown)
-                continue
-            comparisons += 1
-            if got == pinned[:depth]:
-                _print_row("golden", text, cls, "ok", shown)
-            else:
-                failures += 1
-                _print_row(
-                    "golden",
-                    text,
-                    cls,
-                    "FAIL",
-                    f"oracle {shown} pinned {','.join(map(str, pinned[:depth]))}",
-                )
-        for (text, cls), (offset, quoted) in sorted(
-            counting.PRINTED_SEQUENCES.items()
-        ):
-            comparisons += 1
-            bad = None
-            top = min(offset + len(quoted) - 1, args.cap)
-            oracle = patterns.count_avoiders_upto(
-                top, (patterns.parse_pattern(text),), cls
-            )
-            for i, v in enumerate(quoted):
-                n = offset + i
-                if counting.closed_counts(text, cls, n) != v:
-                    bad = f"formula differs at n={n}"
-                    break
-                if 1 <= n <= args.cap and oracle[n] != v:
-                    bad = f"oracle differs at n={n}"
-                    break
-            shown = ",".join(map(str, quoted))
-            if bad is None:
-                _print_row("quoted", text, cls, "ok", shown)
-            else:
-                failures += 1
-                _print_row("quoted", text, cls, "FAIL", f"{bad}; quoted {shown}")
-
+    kinds = set(args.which) | ({"quoted"} if "golden" in args.which else set())
+    comparisons = failures = 0
+    for row in checks.table_rows(kinds, args.n, args.cap):
+        print(f"[{row.kind}] {row.patterns} {row.cls} {row.verdict} {row.detail}")
+        comparisons += row.comparisons
+        failures += row.verdict == "FAIL"
     print(f"table: {comparisons} comparisons, {failures} failed")
     return 1 if failures else 0
 
 
 def cmd_verify(args) -> int:
     _check_cap(args.n, args.cap)
-    depth = args.n
-    caps = checks.Caps(
-        words=depth,
-        paths=min(depth + 3, 12),
-        partitions=min(depth + 3, 12),
-    )
+    caps = checks.Caps(args.n)
     started = time.monotonic()
     results = checks.run_suite(args.suite, caps)
     elapsed = time.monotonic() - started

@@ -7,7 +7,7 @@ under pytest's capture.
 
 import sys
 
-from modasc import counting, maps, paths, patterns, words
+from modasc import checks, counting, maps, paths, patterns, words
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -23,40 +23,24 @@ def _report(num: int, label: str, failures: list) -> None:
     assert not failures, failures[:5]
 
 
+def _default_table(kinds):
+    """The rows of the default `modasc table` (n_max 9, cap 10) of the given
+    kinds, and those of them that did not hold."""
+    rows = list(checks.table_rows(kinds, 9, 10))
+    return rows, [r for r in rows if r.verdict not in ("ok", "data")]
+
+
 def test_criterion_1_family_table():
-    failures = []
-    for row in counting.TABLE1:
-        for cls, family in (("modasc", row.modasc), ("prim", row.prim)):
-            if family is None:
-                continue
-            for text in row.patterns:
-                pat = patterns.parse_pattern(text)
-                for n in range(1, 10):
-                    got = patterns.count_avoiders(n, (pat,), cls)
-                    want = counting.closed_counts(text, cls, n)
-                    if got != want:
-                        failures.append((text, cls, n, got, want))
+    rows, failures = _default_table(("families",))
+    assert len(rows) == 2 * len(counting.TABLE1)
     _report(1, "table of closed-form families, lengths 1..9", failures)
 
 
 def test_criterion_2_printed_sequences():
-    failures = []
-    for (text, cls), (offset, quoted) in counting.PRINTED_SEQUENCES.items():
-        pat = patterns.parse_pattern(text)
-        for i, want in enumerate(quoted):
-            n = offset + i
-            if counting.closed_counts(text, cls, n) != want:
-                failures.append(("formula", text, cls, n, want))
-            if 1 <= n <= 9 and patterns.count_avoiders(n, (pat,), cls) != want:
-                failures.append(("oracle", text, cls, n, want))
-    for (text, cls), pinned in counting.TABLE2.items():
-        if pinned is None or text not in ("111", "211", "4321"):
-            continue
-        pat = patterns.parse_pattern(text)
-        for i, want in enumerate(pinned):
-            n = 1 + i
-            if patterns.count_avoiders(n, (pat,), cls) != want:
-                failures.append(("pinned", text, cls, n, want))
+    rows, failures = _default_table(("golden", "quoted"))
+    assert {(r.patterns, r.cls) for r in rows if r.verdict == "ok"} == {
+        key for key, pinned in counting.TABLE2.items() if pinned
+    } | set(counting.PRINTED_SEQUENCES)
     _report(2, "quoted and pinned sequences at their printed lengths", failures)
 
 
@@ -147,27 +131,13 @@ def test_criterion_6_series_identities():
 
 def test_criterion_7_equivalences():
     failures = []
-    single = (
-        ("21", "121", "modasc"),
-        ("213", "1213", "modasc"),
-        ("312", "1312", "modasc"),
-        ("212", "1212", "modasc"),
-        ("212", "2132", "modasc"),
-        ("212", "12132", "modasc"),
-        ("122", "1232", "prim"),
-        ("221", "2321", "prim"),
-    )
-    for a, b, cls in single:
+    for a, b, cls in checks.EQUIVALENCES:
         pa = (patterns.parse_pattern(a),)
         pb = (patterns.parse_pattern(b),)
         for n in range(1, 10):
             if patterns.avoiders(n, pa, cls) != patterns.avoiders(n, pb, cls):
                 failures.append((a, b, cls, n))
-    joint = (
-        (("212", "213"), "213", "prim"),
-        (("221", "231"), "231", "prim"),
-    )
-    for pair, solo, cls in joint:
+    for pair, solo, cls in checks.JOINT_EQUIVALENCES:
         pp = tuple(patterns.parse_pattern(t) for t in pair)
         ps = (patterns.parse_pattern(solo),)
         for n in range(1, 10):
@@ -190,7 +160,7 @@ def test_criterion_8_stirling_identity():
 
 def test_criterion_9_worked_examples():
     failures = []
-    checks = (
+    examples = (
         (
             maps.standardize(words.parse_word("312112341")),
             (7, 1, 5, 2, 3, 6, 8, 9, 4),
@@ -212,7 +182,7 @@ def test_criterion_9_worked_examples():
         (maps.standardize(X14), P14),
         (maps.omega_to_prim(P14), X14),
     )
-    for i, (got, want) in enumerate(checks):
+    for i, (got, want) in enumerate(examples):
         if got != want:
             failures.append((i, got, want))
     _report(9, "worked micro-examples", failures)

@@ -2,7 +2,7 @@ import pytest
 
 from modasc import checks
 
-SMALL = checks.Caps(words=6, paths=8, partitions=8)
+SMALL = checks.Caps(words=6)
 
 
 def test_all_suites_pass_at_small_depth():
@@ -25,3 +25,28 @@ def test_named_suites_are_subsets():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         checks.run_suite("everything", SMALL)
+
+
+def test_printed_sequences_check_returns_a_witness(broken_tables):
+    witness = checks.check_printed_sequences(SMALL)
+    assert witness == "221/modasc formula differs at n=8; quoted 1,1,2,5,14,44,155,607,2618"
+
+
+def test_printed_sequences_check_asks_only_for_quoted_rows(monkeypatch):
+    asked = []
+    table_rows = checks.table_rows
+
+    def spy(kinds, n_max, cap):
+        asked.append(tuple(kinds))
+        return table_rows(kinds, n_max, cap)
+
+    monkeypatch.setattr(checks, "table_rows", spy)
+    assert checks.check_printed_sequences(SMALL) is None
+    assert asked == [("quoted",)]
+
+
+def test_caps_derive_paths_and_partitions():
+    assert (SMALL.paths, SMALL.partitions) == (9, 9)
+    assert (checks.Caps(words=10).paths, checks.Caps(words=10).partitions) == (12, 12)
+    with pytest.raises(TypeError):
+        checks.Caps(words=6, paths=8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -147,6 +148,25 @@ def test_count_cayley(capsys):
     code, out, _ = run(capsys, ["count", "--class", "cayley", "--n", "4"])
     assert code == 0
     assert out == "75\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--class", "cayley", "--upto", "9"],
+        ["count", "--class", "cayley", "--n", "9"],
+        ["generate", "--class", "cayley", "--n", "9"],
+        ["--cap", "12", "count", "--class", "cayley", "--upto", "9"],
+        ["count", "--class", "cayley", "--n", "11"],
+        ["generate", "--class", "cayley", "--n", "11"],
+    ],
+)
+def test_cayley_stops_at_its_fixed_limit_before_printing(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"fixed limit {words.ENDOFUNCTION_CAP}" in err
+    assert "--cap" not in err
 
 
 def test_count_needs_exactly_one_length(capsys):
@@ -335,6 +355,30 @@ def test_table_small(capsys):
     assert kinds == {"[families]", "[golden]", "[quoted]"}
     assert "[families] 11 modasc ok 1,1,1,1" in lines
     assert not any(" FAIL " in line for line in lines)
+
+
+TABLE_SHA256 = "1fac25b588fc1273a662b100305babe6c67becfd932d709e02d9e5ec11ba758d"
+
+
+def test_table_default_output(capsys):
+    code, out, _ = run(capsys, ["table"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256
+    assert out.splitlines()[-1] == "table: 52 comparisons, 0 failed"
+
+
+def test_table_reports_each_failure(capsys, broken_tables):
+    code, out, _ = run(capsys, ["table", "--n", "4"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if " FAIL " in line] == [
+        "[families] 11 modasc FAIL oracle 1,1,1,1 formula 1,2,4,8",
+        "[golden] 111 modasc FAIL oracle 1,2,4,10,29,97,367,1550 "
+        "pinned 1,2,4,10,29,97,367,1551",
+        "[quoted] 221 modasc FAIL formula differs at n=8; "
+        "quoted 1,1,2,5,14,44,155,607,2618",
+    ]
+    assert lines[-1] == "table: 52 comparisons, 3 failed"
 
 
 def test_verify_suite(capsys):
