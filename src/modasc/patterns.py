@@ -31,12 +31,21 @@ The search follows a plan made once per pattern for a level or a count
 nearest value below it and the one of the nearest value above, or, if
 an earlier step is tied with it, is placed at the next copy of that
 step's value.  The same plan gives the bounds and the tied value above.
-`count_avoiders` counts level n from its parents: it builds level
-n - 1 and adds, for each parent, the letters that no pattern forbids.
-`count_avoiders_upto` counts every length up to n by the same search,
-taking the shorter lengths from the levels that search builds.
-`contains` shares none of this; it is the oracle the search is tested
-against.
+A step whose value no later step reads is placed at its first fit only.
+
+`count_avoiders` counts lengths n - 1 and n in one pass over the
+grandparents at level n - 2, so levels 0..n - 2 are built and cached
+and levels n - 1 and n are not.  The same search of a grandparent g
+(`_occurrences`) also records the value tuples of the occurrences of
+y[:-2], reduced to what steps k - 2 and k - 1 of y read.  The tuples of
+y[:-1] in a child g a are then g's own, bumped if a is a new value, and
+those of y[:-2] that step k - 2 extends by a (`_child_masks`), so no
+child is searched; the letters it forbids are a bit mask, and its
+allowed letters are counted by popcount.  The counts of a pass are kept
+in a small table of ints, so a repeated count searches nothing.
+`count_avoiders_upto` takes the shorter lengths from the levels that
+pass builds.  `contains` shares none of this; it is the oracle the
+search is tested against.
 """
 
 from __future__ import annotations
@@ -122,7 +131,7 @@ def _plan(y: Word) -> Plan:
     """For each step s of y, the earlier steps its value is compared with:
     one with the nearest value below y[s], one with the nearest value above
     and one tied with it.  A missing step is -2 below, -1 above and -1
-    tied: `_forbidden_letters` reads the bounds of a missing step from two
+    tied: `_occurrences` reads the bounds of a missing step from two
     sentinel slots at the end of its list of chosen values.
 
     Occurrences of a Cayley permutation are order isomorphic on every
@@ -152,39 +161,80 @@ def _forbidden_letters(w: Word, plan: Plan) -> set[int]:
     >>> sorted(_forbidden_letters((1, 2, 1), _plan((1, 3, 2))))  # 1 3 1 2
     [2]
     """
-    kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, False)
-    k = len(plan) - 1
-    # chosen[-2] and chosen[-1] bound a step with no earlier step below or
-    # above it: 0 and the largest letter a child may end with.
-    chosen = [0] * k + [0, bumped[-1]]
-    bad: set[int] = set()
-    _search(w, plan, chosen, 0, 0, len(w) - k + 1, kept, bad)
-    return bad
+    return _forbidden(w, [plan])
 
 
-def _search(
+@lru_cache(maxsize=256)
+def _layout(plan: Plan) -> tuple[frozenset[int], tuple[bool, ...]]:
+    """The steps of y whose values a later step of `plan` reads (the tied
+    one, or else the ones below and above), and for each step of y[:-2]
+    whether steps k - 2 or k - 1 read it: a stem keeps only those.
+
+    >>> _layout(_plan((2, 3, 2, 1)))
+    (frozenset({0}), (True, False))
+    """
+
+    def reads(steps: Plan) -> set[int]:
+        return {i for below, above, tied in steps
+                for i in ((tied,) if tied >= 0 else (below, above)) if i >= 0}
+
+    last_two = reads(plan[-2:])
+    return frozenset(reads(plan)), tuple(i in last_two for i in range(len(plan) - 2))
+
+
+def _occurrences(
+    w: Word, plan: Plan, with_stems: bool = True
+) -> tuple[set, set | None]:
+    """The occurrences in w of y[:-1] and of y[:-2], for the pattern y of
+    `plan = _plan(y)`, as two sets of value tuples, found by one search
+    (the second is None unless `with_stems`).
+
+    An end (an occurrence of y[:-1]) keeps only what y's last step reads:
+    the tied value, or else the pair (lower, upper).  A stem (one of
+    y[:-2]) keeps the values of its steps that steps k - 2 and k - 1 of
+    y read, with 0 in the others (`_layout`).  Values are w's; a missing
+    bound is 0 below and max(w) + 1 above.  A step whose value no later
+    step reads is placed at its first fit only.
+
+    >>> _occurrences((1, 2, 1), _plan((2, 3, 2, 1)))  # y[:-1] = 2 3 2
+    ({(0, 1)}, {(1, 0)})
+    """
+    k = len(plan)
+    reads, keep = _layout(plan)
+    chosen = [0] * (k - 1) + [0, max(w, default=0) + 1]
+    ends: set = set()
+    stems = set() if with_stems else None
+    # Step s of y[:-2] may sit at position len(w) - k + 2 + s, one further
+    # right than in y[:-1].
+    stop = len(w) - k + 2 + with_stems
+    _place(w, plan, reads, keep, chosen, 0, 0, stop, ends, stems)
+    return ends, stems
+
+
+def _place(
     w: Word,
     plan: Plan,
+    reads: frozenset[int],
+    keep: tuple[bool, ...],
     chosen: list[int],
     s: int,
     start: int,
     stop: int,
-    kept: range,
-    bad: set[int],
+    ends: set,
+    stems: set | None,
 ) -> None:
     """Extend the occurrence of y[:s] in `chosen` by step s, at a position
-    in range(start, stop) of w, and add to `bad` the letters that complete
-    one to y once all of y[:-1] is placed."""
+    in range(start, stop) of w, recording it in `stems` at s = k - 2 and
+    in `ends` at s = k - 1."""
     below, above, tied = plan[s]
-    if s == len(plan) - 1:
-        if tied >= 0:
-            if chosen[tied] in kept:
-                bad.add(chosen[tied])
-        else:
-            lo, hi = chosen[below], chosen[above]
-            # a = upper completes y only as a new value: bumped, not kept.
-            bad.update(range(lo + 1, hi if hi in kept else hi + 1))
+    k = len(plan)
+    if s == k - 1:
+        ends.add(chosen[tied] if tied >= 0 else (chosen[below], chosen[above]))
         return
+    if s == k - 2:
+        if stems is not None:
+            stems.add(tuple(v if kept else 0 for v, kept in zip(chosen, keep)))
+        stop = len(w)
     if tied >= 0:
         # The leftmost copy of the tied value reaches every later occurrence.
         v = chosen[tied]
@@ -193,36 +243,121 @@ def _search(
         except ValueError:
             return
         chosen[s] = v
-        _search(w, plan, chosen, s + 1, i + 1, stop + 1, kept, bad)
+        _place(w, plan, reads, keep, chosen, s + 1, i + 1, stop + 1, ends, stems)
         return
     lo, hi = chosen[below], chosen[above]
     seen = set()
-    # Likewise for each value between the bounds: one visit per value tuple.
+    # Likewise for each value between the bounds: one visit per value tuple,
+    # and only the first if no later step reads the value.
     for i in range(start, stop):
         v = w[i]
         if lo < v < hi and v not in seen:
-            seen.add(v)
             chosen[s] = v
-            _search(w, plan, chosen, s + 1, i + 1, stop + 1, kept, bad)
+            _place(w, plan, reads, keep, chosen, s + 1, i + 1, stop + 1, ends, stems)
+            if s not in reads:
+                return
+            seen.add(v)
+
+
+def _end_mask(ends: set, plan: Plan, last: int) -> int:
+    """The letters (as bits) that complete one of the ends of y[:-1] in a
+    word with last letter `last`, by the rule above: a tied value if it is
+    appended as it is, else every a with lower < a < upper, and the upper
+    bound too when it is a new value."""
+    mask = 0
+    if plan[-1][2] >= 0:
+        for v in ends:
+            if v <= last:
+                mask |= 1 << v
+    else:
+        for lo, hi in ends:
+            mask |= (1 << hi) - (1 << (lo + 1)) | (1 << hi if hi > last else 0)
+    return mask
+
+
+def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[int]:
+    """`_end_mask` of each child of a word with maximum m and last letter
+    `last`, at the index of the child's last letter a, from the word's
+    `_occurrences` alone: the child's ends are the word's, bumped if a is
+    a new value, and the stems that step k - 2 extends by a.
+
+    >>> plan = _plan((1, 2, 1))
+    >>> _occurrences((1, 2), plan)
+    ({1}, {(1,), (2,)})
+    >>> _child_masks(plan, *_occurrences((1, 2), plan), 2, 2)  # 1 2 a b
+    [0, 2, 2, 6]
+    """
+    tied_end = plan[-1][2] >= 0
+    extended: list[list] = [[] for _ in range(m + 2)]
+    if len(plan) > 1:
+        below, above, tied = plan[-2]
+        below1, above1, tied1 = plan[-1]
+        for stem in stems:
+            # Slot -3 of `vals` is step k - 2, the child's last letter.
+            vals = [*stem, 0, 0, m + 1]
+            if tied >= 0:
+                letters = (vals[tied],) if vals[tied] <= last else ()
+            else:
+                lo, hi = vals[below], vals[above]
+                letters = range(lo + 1, hi + (hi > last))
+            for a in letters:
+                bump = a > last
+                vals = [v + (bump and v >= a) for v in stem]
+                vals += (a, 0, m + 1 + bump)
+                extended[a].append(
+                    vals[tied1] if tied1 >= 0 else (vals[below1], vals[above1])
+                )
+    masks = [0] * (m + 2)
+    for a in range(1, m + 2):
+        if a <= last:
+            child = [*ends]
+        elif tied_end:
+            child = [v + (v >= a) for v in ends]
+        else:
+            child = [(lo + (lo >= a), hi + (hi >= a)) for lo, hi in ends]
+        masks[a] = _end_mask(child + extended[a], plan, a)
+    return masks
+
+
+@lru_cache(maxsize=4096)
+def _letter_mask(m: int, last: int, prim: bool) -> int:
+    """The letters of `words._letters(m, last, prim)` as bits.
+
+    >>> bin(_letter_mask(3, 2, True))  # children of 1 3 1 2: 1, 3 and 4
+    '0b11010'
+    """
+    return sum((1 << r.stop) - (1 << r.start) for r in _letters(m, last, prim) if r)
 
 
 def _forbidden(w: Word, plans: list[Plan]) -> set[int]:
     """The union of `_forbidden_letters(w, plan)` over the plans."""
-    return set().union(*(_forbidden_letters(w, plan) for plan in plans))
+    last = w[-1] if w else 0
+    mask = 0
+    for plan in plans:
+        mask |= _end_mask(_occurrences(w, plan, False)[0], plan, last)
+    return {a for a in range(mask.bit_length()) if mask >> a & 1}
+
+
+#: The number of avoiders of each (length, patterns, class) counted or
+#: built so far: ints, not words, so a repeated count searches nothing.
+_COUNTS: dict[tuple[int, frozenset[Word], str], int] = {}
 
 
 @lru_cache(maxsize=None)
 def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     """Level n of the class's generating tree (see `words`) with, below
-    each parent, the children that contain a pattern left out."""
+    each parent, the children that contain a pattern left out.  Its
+    length goes into `_COUNTS`."""
     if n == 0:
         return ((),)
     plans = [_plan(y) for y in pats]
-    return tuple(
+    level = tuple(
         c
         for w in _avoider_level(n - 1, pats, cls)
         for c in _children(w, cls == "prim", _forbidden(w, plans))
     )
+    _COUNTS[n, pats, cls] = len(level)
+    return level
 
 
 def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
@@ -276,45 +411,71 @@ def sorted_avoider_keys(
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:
     """Number of length-n members of the class avoiding every given
-    pattern, counted from their parents: level n - 1 is built (and kept
-    in the cache of `_avoider_level`), level n is not.  Each parent adds
-    its children's letters that no pattern forbids.
+    pattern, counted with length n - 1 from their grandparents: levels
+    0..n - 2 are built (and kept in the cache of `_avoider_level`),
+    levels n - 1 and n are not.  A length counted or built before is
+    read from `_COUNTS`, with no search.
 
     >>> [count_avoiders(n, [(2, 3, 2, 1)]) for n in range(8)]  # Bell numbers
     [1, 1, 2, 5, 15, 52, 203, 877]
     >>> count_avoiders(6, [(2, 3, 2, 1)], "prim")
     52
     """
-    return _count_from_parents(n, _checked(n, patterns, cls), cls)
+    return _count(n, _checked(n, patterns, cls), cls)
 
 
 def count_avoiders_upto(
     n: int, patterns: Iterable[Word], cls: str = "modasc"
 ) -> list[int]:
     """`[count_avoiders(k, patterns, cls) for k in range(n + 1)]`, with
-    each level searched once: the lengths below n are the lengths of the
-    levels that counting length n from its parents builds anyway.
+    each level searched once: lengths 0..n - 2 are the lengths of the
+    levels built to count lengths n - 1 and n from their grandparents.
 
     >>> count_avoiders_upto(7, [(2, 3, 2, 1)])  # Bell numbers
     [1, 1, 2, 5, 15, 52, 203, 877]
     """
     pats = _checked(n, patterns, cls)
-    below = [len(_avoider_level(k, pats, cls)) for k in range(n)]
-    return below + [_count_from_parents(n, pats, cls)]
+    top = _count(n, pats, cls)
+    return [_count(k, pats, cls) for k in range(n)] + [top]
 
 
-def _count_from_parents(n: int, pats: frozenset[Word], cls: str) -> int:
-    """Length n's avoiders of the checked patterns, counted from the
-    parents at level n - 1."""
-    if n == 0:
-        return 1
+def _count(n: int, pats: frozenset[Word], cls: str) -> int:
+    """`count_avoiders` of the checked patterns: from `_COUNTS`, else from
+    level n (n < 2) or a pass over the grandparents at level n - 2."""
+    key = (n, pats, cls)
+    if key not in _COUNTS:
+        if n < 2:
+            _COUNTS[key] = len(_avoider_level(n, pats, cls))
+        else:
+            _COUNTS[n - 1, pats, cls], _COUNTS[key] = _count_last_two(n - 2, pats, cls)
+    return _COUNTS[key]
+
+
+def _count_last_two(n: int, pats: frozenset[Word], cls: str) -> tuple[int, int]:
+    """The numbers of avoiders of the checked patterns of lengths n + 1 and
+    n + 2, counted from their grandparents at level n: each is searched
+    once per pattern (`_occurrences`), its children's forbidden letters
+    come from that search (`_child_masks`), and each allowed letter is a
+    bit."""
+    prim = cls == "prim"
     plans = [_plan(y) for y in pats]
-    total = 0
-    for w in _avoider_level(n - 1, pats, cls):
-        bad = _forbidden(w, plans)
-        for letters in _letters(max(w, default=0), w[-1] if w else 0, cls == "prim"):
-            total += sum(a not in bad for a in letters)
-    return total
+    parents = children = 0
+    for g in _avoider_level(n, pats, cls):
+        m = max(g, default=0)
+        last = g[-1] if g else 0
+        allowed = _letter_mask(m, last, prim)
+        bad = [0] * (m + 2)
+        for plan in plans:
+            ends, stems = _occurrences(g, plan)
+            allowed &= ~_end_mask(ends, plan, last)
+            for a, mask in enumerate(_child_masks(plan, ends, stems, m, last)):
+                bad[a] |= mask
+        parents += allowed.bit_count()
+        for a in range(1, m + 2):
+            if allowed >> a & 1:
+                letters = _letter_mask(m + (a > last), a, prim)
+                children += (letters & ~bad[a]).bit_count()
+    return parents, children
 
 
 def _is_permutation(p: Perm) -> bool:

@@ -65,6 +65,48 @@ def test_forbidden_letters_match_brute_force():
                 assert got == want, (w, y)
 
 
+def brute_endings(x):
+    """The patterns of length <= 4 that `brute_ends_with(x, y)` accepts, by
+    the same enumeration of positions, for all of them at once."""
+    last = len(x) - 1
+    return {
+        standardize(tuple(x[i] for i in positions) + (x[last],))
+        for j in range(4)
+        for positions in itertools.combinations(range(last), j)
+    }
+
+
+def test_child_step_matches_searching_the_child():
+    # The step of the grandparent count: the letters a child forbids come
+    # from its parent's occurrences of y[:-1] and y[:-2], with no search of
+    # the child itself.  A primitive child is checked once, as a modasc one:
+    # the step reads the parent's label, not its class.
+    plans = {y: patterns._plan(y) for y in CAYLEY_PATTERNS}
+    checked = set()
+    for cls in ("modasc", "prim"):
+        prim = cls == "prim"
+        for n in range(7):
+            for w in words._level(n, prim):
+                m, last = max(w, default=0), w[-1] if w else 0
+                steps = []
+                for y, plan in plans.items():
+                    if not patterns.contains(w, y):
+                        ends, stems = patterns._occurrences(w, plan)
+                        masks = patterns._child_masks(plan, ends, stems, m, last)
+                        steps.append((y, plan, masks))
+                for c in words._children(w, prim):
+                    if c in checked:
+                        continue
+                    checked.add(c)
+                    kids = [(x[-1], brute_endings(x)) for x in words._children(c, False)]
+                    for y, plan, masks in steps:
+                        mask = masks[c[-1]]
+                        got = {a for a in range(mask.bit_length()) if mask >> a & 1}
+                        assert got == patterns._forbidden_letters(c, plan), (w, c, y)
+                        assert got == {a for a, ys in kids if y in ys}, (w, c, y)
+    assert len(checked) == sum(words.count_level(n, False) for n in range(1, 8))
+
+
 def _pattern_sets():
     texts = {p for row in counting.TABLE1 for p in row.patterns}
     texts |= {text for text, _ in counting.TABLE2}
@@ -125,6 +167,25 @@ def test_count_avoiders_matches_level_length_every_short_pattern():
             for n in range(8):
                 want = len(patterns._avoider_level(n, frozenset([y]), cls))
                 assert patterns.count_avoiders(n, [y], cls) == want, (y, cls, n)
+
+
+@pytest.mark.parametrize(
+    "texts", [("1",), ("12",), ("11",), ("12345", "2132")], ids=",".join
+)
+def test_count_avoiders_matches_filtered_level(texts):
+    # Patterns of length 1 and 2 have an empty y[:-2]; the last set mixes lengths.
+    ys = [patterns.parse_pattern(t) for t in texts]
+    for cls in ("modasc", "prim"):
+        want = [
+            sum(
+                not any(patterns.contains(x, y) for y in ys)
+                for x in words._level(n, cls == "prim")
+            )
+            for n in range(9)
+        ]
+        assert patterns.count_avoiders_upto(8, ys, cls) == want, (texts, cls)
+        for n in range(9):
+            assert patterns.count_avoiders(n, ys, cls) == want[n], (texts, cls, n)
 
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])

@@ -176,10 +176,37 @@ def test_count_builds_no_level(capsys):
 
 def test_count_avoid_builds_no_level_n(capsys):
     patterns._avoider_level.cache_clear()
+    patterns._COUNTS.clear()
     assert cli.main(["count", "--n", "9", "--avoid", "2321"]) == 0
     assert capsys.readouterr().out == "21147\n"
-    # levels 0..8, counted from level 8's parents
-    assert patterns._avoider_level.cache_info().currsize == 9
+    # levels 0..7: lengths 8 and 9 are counted from level 7's grandparents
+    assert patterns._avoider_level.cache_info().currsize == 8
+
+
+def test_count_avoiders_upto_builds_no_level_n_minus_1():
+    patterns._avoider_level.cache_clear()
+    patterns._COUNTS.clear()
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+    assert patterns.count_avoiders_upto(9, [(2, 3, 2, 1)]) == bell
+    # levels 0..7 only
+    assert patterns._avoider_level.cache_info().currsize == 8
+
+
+def test_repeated_count_searches_nothing(monkeypatch):
+    patterns._COUNTS.clear()
+    firsts = {
+        cls: patterns.count_avoiders_upto(8, [(2, 1, 3, 2)], cls)
+        for cls in ("modasc", "prim")
+    }
+
+    def searched(*args):
+        raise AssertionError("a repeated count searched again")
+
+    monkeypatch.setattr(patterns, "_occurrences", searched)
+    monkeypatch.setattr(patterns, "_forbidden", searched)
+    for cls in ("modasc", "prim"):
+        assert patterns.count_avoiders_upto(8, [(2, 1, 3, 2)], cls) == firsts[cls]
+        assert patterns.count_avoiders(8, [(2, 1, 3, 2)], cls) == firsts[cls][8]
 
 
 def test_iter_sorted_is_the_sorted_level():
