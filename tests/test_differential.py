@@ -79,34 +79,26 @@ def brute_endings(x):
 def test_child_step_matches_searching_the_child():
     # The step of the grandparent count: the letters a child forbids come
     # from its parent's occurrences of y[:-1] and y[:-2], with no search of
-    # the child itself.  A primitive child is checked once, as a modasc one:
-    # the step reads the parent's label, not its class.
+    # the child itself.  The step reads the parent's label, not its class,
+    # and every primitive child is a child of the same modasc word, so the
+    # modasc levels cover both classes.
     plans = {y: patterns._plan(y) for y in CAYLEY_PATTERNS}
-    checked = set()
-    for cls in ("modasc", "prim"):
-        prim = cls == "prim"
-        for n in range(7):
-            for w in words._level(n, prim):
-                m, last = max(w, default=0), w[-1] if w else 0
-                steps = []
-                for y, plan in plans.items():
-                    if not patterns.contains(w, y):
-                        ends, stems = patterns._occurrences(w, plan)
-                        masks = patterns._child_masks(plan, ends, stems, m, last)
-                        steps.append((y, plan, masks))
-                for c in words._children(w, prim):
-                    if c in checked:
-                        continue
-                    checked.add(c)
-                    kids = [
-                        (x[-1], brute_endings(x)) for x in words._children(c, False)
-                    ]
-                    for y, plan, masks in steps:
-                        mask = masks[c[-1]]
-                        got = {a for a in range(mask.bit_length()) if mask >> a & 1}
-                        assert got == patterns._forbidden_letters(c, plan), (w, c, y)
-                        assert got == {a for a, ys in kids if y in ys}, (w, c, y)
-    assert len(checked) == sum(words.count_level(n, False) for n in range(1, 8))
+    for n in range(7):
+        for w in words._level(n, False):
+            m, last = max(w, default=0), w[-1] if w else 0
+            steps = []
+            for y, plan in plans.items():
+                if not patterns.contains(w, y):
+                    ends, stems = patterns._occurrences(w, plan)
+                    masks = patterns._child_masks(plan, ends, stems, m, last)
+                    steps.append((y, plan, masks))
+            for c in words._children(w, False):
+                kids = [(x[-1], brute_endings(x)) for x in words._children(c, False)]
+                for y, plan, masks in steps:
+                    mask = masks[c[-1]]
+                    got = {a for a in range(mask.bit_length()) if mask >> a & 1}
+                    assert got == patterns._forbidden_letters(c, plan), (w, c, y)
+                    assert got == {a for a, ys in kids if y in ys}, (w, c, y)
 
 
 def _pattern_sets():
@@ -149,26 +141,36 @@ def test_count_avoiders_matches_level_length(texts):
     ys = [patterns.parse_pattern(t) for t in texts]
     for cls in ("modasc", "prim"):
         for n in range(10):
+            # `_avoider_level` records its length in `_COUNTS`; clear it so
+            # the count comes from its own pass.
+            patterns._COUNTS.clear()
+            got = patterns.count_avoiders(n, ys, cls)
             want = len(patterns._avoider_level(n, frozenset(ys), cls))
-            assert patterns.count_avoiders(n, ys, cls) == want, (texts, cls, n)
+            assert got == want, (texts, cls, n)
 
 
 @pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)
 def test_count_avoiders_upto_matches_count_avoiders(texts):
     ys = [patterns.parse_pattern(t) for t in texts]
     for cls in ("modasc", "prim"):
+        want = []
+        for k in range(9):
+            patterns._COUNTS.clear()  # count each length by its own pass
+            want.append(patterns.count_avoiders(k, ys, cls))
         for top in range(9):
-            want = [patterns.count_avoiders(k, ys, cls) for k in range(top + 1)]
+            patterns._COUNTS.clear()
             got = patterns.count_avoiders_upto(top, ys, cls)
-            assert got == want, (texts, cls, top)
+            assert got == want[: top + 1], (texts, cls, top)
 
 
 def test_count_avoiders_matches_level_length_every_short_pattern():
     for y in CAYLEY_PATTERNS:
         for cls in ("modasc", "prim"):
             for n in range(8):
+                patterns._COUNTS.clear()  # count by a pass, not the level's length
+                got = patterns.count_avoiders(n, [y], cls)
                 want = len(patterns._avoider_level(n, frozenset([y]), cls))
-                assert patterns.count_avoiders(n, [y], cls) == want, (y, cls, n)
+                assert got == want, (y, cls, n)
 
 
 @pytest.mark.parametrize(
