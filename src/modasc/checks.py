@@ -19,7 +19,9 @@ from .series import IntSeries
 
 @dataclass(frozen=True)
 class Caps:
-    """Word lengths up to `words`; paths and partitions three further, to 12."""
+    """Word lengths up to `words`; paths and partitions three further, to
+    12; checks that compare words or permutations one by one to `listed`,
+    and those that compare numbers of avoiders to `counted`."""
 
     words: int
 
@@ -28,6 +30,14 @@ class Caps:
         return min(self.words + 3, 12)
 
     partitions = paths
+
+    @property
+    def listed(self) -> int:
+        return min(self.words, 9)
+
+    @property
+    def counted(self) -> int:
+        return min(self.words, 10)
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ def check_flat_roundtrip(caps: Caps) -> str | None:
 
 
 def check_standardize_bijection(caps: Caps) -> str | None:
-    for n in range(min(caps.words, 9) + 1):
+    for n in range(caps.listed + 1):
         image = []
         for x in words.iter_prim(n):
             p = maps.standardize(x)
@@ -107,7 +117,7 @@ def check_standardize_bijection(caps: Caps) -> str | None:
 
 
 def check_burge_ascending(caps: Caps) -> str | None:
-    for n in range(min(caps.words, 9) + 1):
+    for n in range(caps.listed + 1):
         image = {maps.burge_fishburn(x, "ascending") for x in words.iter_prim(n)}
         if image != set(patterns.generate_omega(n)):
             return f"transpose image differs from the omega class at n={n}"
@@ -115,7 +125,7 @@ def check_burge_ascending(caps: Caps) -> str | None:
 
 
 def check_burge_descending(caps: Caps) -> str | None:
-    for n in range(min(caps.words, 9) + 1):
+    for n in range(caps.listed + 1):
         seen = set()
         for x in words.iter_modasc(n):
             p = maps.burge_fishburn(x, "descending")
@@ -188,7 +198,7 @@ def check_dyck_312(caps: Caps) -> str | None:
 
 
 def check_claesson(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, 9) + 1):
+    for n in range(1, caps.listed + 1):
         perms = _perms_avoiding_32_1(n)
         if len(perms) != counting.bell(n):
             return f"|Sym_n(32-1)| != Bell at n={n}"
@@ -222,14 +232,14 @@ def check_claesson(caps: Caps) -> str | None:
 
 
 def check_prim_counts_omega(caps: Caps) -> str | None:
-    for n in range(min(caps.words, 9) + 1):
+    for n in range(caps.listed + 1):
         if words.count_level(n, True) != len(patterns.generate_omega(n)):
             return f"|Prim_n| != |Omega_n| at n={n}"
     return None
 
 
 def check_chain_construction(caps: Caps) -> str | None:
-    for n in range(min(caps.words, 9) + 1):
+    for n in range(caps.listed + 1):
         for p in patterns.generate_omega(n):
             if maps.omega_to_prim(p) != maps.omega_to_prim_by_chains(p):
                 return f"chain and falling constructions differ at {p}"
@@ -238,7 +248,7 @@ def check_chain_construction(caps: Caps) -> str | None:
 
 def check_pattern_transport(caps: Caps) -> str | None:
     for y in ((2, 1, 3), (2, 3, 1)):
-        for n in range(1, min(caps.words, 9) + 1):
+        for n in range(1, caps.listed + 1):
             avs = patterns.avoiders(n, (y,), "prim")
             image = {maps.standardize(x) for x in avs}
             omega_side = {
@@ -254,7 +264,7 @@ def check_pattern_transport(caps: Caps) -> str | None:
 
 
 def check_transport_321(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, 9) + 1):
+    for n in range(1, caps.listed + 1):
         avs = patterns.avoiders(n, ((3, 2, 1),), "prim")
         image = {maps.standardize(x) for x in avs}
         direct = {
@@ -281,7 +291,7 @@ def check_primitive_statistics(caps: Caps) -> str | None:
 
 
 def check_standardize_statistics(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, 9) + 1):
+    for n in range(1, caps.listed + 1):
         for w in words.iter_prim(n):
             p = maps.standardize(w)
             des_w = {i for i in range(n - 1) if w[i] > w[i + 1]}
@@ -315,10 +325,9 @@ JOINT_EQUIVALENCES: tuple[tuple[tuple[str, ...], str, str], ...] = (
 
 
 def check_single_equivalences(caps: Caps) -> str | None:
-    n_max = min(caps.words, 9)
     for a, b, cls in EQUIVALENCES:
         w = patterns.avoidance_witness(
-            patterns.parse_pattern(a), patterns.parse_pattern(b), cls, n_max
+            patterns.parse_pattern(a), patterns.parse_pattern(b), cls, caps.listed
         )
         if w is not None:
             return f"{a} vs {b} over {cls}: witness {w[1]} at n={w[0]}"
@@ -326,11 +335,10 @@ def check_single_equivalences(caps: Caps) -> str | None:
 
 
 def check_joint_equivalences(caps: Caps) -> str | None:
-    n_max = min(caps.words, 9)
     for pair, single, cls in JOINT_EQUIVALENCES:
         pats = tuple(patterns.parse_pattern(p) for p in pair)
         lone = (patterns.parse_pattern(single),)
-        for n in range(n_max + 1):
+        for n in range(caps.listed + 1):
             if patterns.avoiders(n, pats, cls) != patterns.avoiders(n, lone, cls):
                 return f"{','.join(pair)} vs {single} over {cls} differ at n={n}"
     return None
@@ -358,9 +366,8 @@ def check_series_prim122(caps: Caps) -> str | None:
     for n in range(1, SERIES_ORDER + 1):
         if prim[n] != counting.closed_counts("122", "prim", n):
             return f"series and formula differ at n={n}"
-    top = min(caps.words, 10)
-    oracle = patterns.count_avoiders_upto(top, ((1, 2, 2),), "prim")
-    for n in range(1, top + 1):
+    oracle = patterns.count_avoiders_upto(caps.counted, ((1, 2, 2),), "prim")
+    for n in range(1, caps.counted + 1):
         if prim[n] != oracle[n]:
             return f"series and oracle differ at n={n}"
     return None
@@ -380,9 +387,8 @@ def check_series_modasc122(caps: Caps) -> str | None:
 
 def check_series_g(caps: Caps) -> str | None:
     g = counting.special_series("G", SERIES_ORDER)
-    top = min(caps.words, 10)
-    oracle = patterns.count_avoiders_upto(top, ((1, 2, 2),), "prim")
-    for n in range(top):
+    oracle = patterns.count_avoiders_upto(caps.counted, ((1, 2, 2),), "prim")
+    for n in range(caps.counted):
         if g[n] != oracle[n + 1]:
             return f"[t^{n}]G differs from the count at length {n + 1}"
     return None
@@ -460,7 +466,7 @@ def check_stirling_identity(caps: Caps) -> str | None:
 
 
 def check_ascent_laws_2321(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, 10) + 1):
+    for n in range(1, caps.counted + 1):
         hist = counting.ascent_distribution("2321", "modasc", n)
         for h, cnt in hist.items():
             if cnt != counting.stirling2(n, n - h):

@@ -18,13 +18,28 @@ module docstring states the succession rule) with the letters a pattern
 forbids left out: extending a modified ascent sequence relabels the old
 letters in an order-preserving way, so containment is inherited by
 every extension and any new occurrence must use the appended letter.
-So each parent w is searched once per pattern y, for the distinct value
-tuples of the occurrences of y[:-1].  Such a tuple has a lower bound
-(its largest value below y's last), an upper bound (its smallest value
-above) and maybe a value tied with y's last.  It forbids the child
-letter equal to the tied value if that letter is appended as it is, or
-with no tied value every appended a with lower < a < upper and every
-bumped a (a new value, the only copy of itself) with lower < a <= upper.
+So each word w is searched once per pattern y (`_occurrences`), for the
+distinct value tuples of the occurrences of y[:-1] (its ends) and of
+y[:-2] (its stems).  An end has a lower bound (its largest value below
+y's last), an upper bound (its smallest value above) and maybe a value
+tied with y's last.  It forbids the child letter equal to the tied
+value if that letter is appended as it is, or with no tied value every
+appended a with lower < a < upper and every bumped a (a new value, the
+only copy of itself) with lower < a <= upper (`_accepted`).  The ends
+of a child w a are w's own, bumped if a is a new value, and the stems
+that step k - 2 of y accepts with a, extended by a (`_child_masks`).
+So the one search of w gives, as bit masks, the letters its children
+may not end with and those each child's children may not end with
+(`_grown`); no child is searched.
+
+Levels thus grow two steps at a time: level n is expanded from level
+n - 2 (level 1 from level 0), and only levels n - 2, n - 4, ... below it
+are built and cached.  `count_avoiders` counts lengths n - 1 and n from
+level n - 2 by popcount, building no word of either, and
+`sorted_avoider_keys` turns the children of level n - 2 straight into
+byte strings; neither caches level n - 1.  The lengths of the levels
+built or counted are kept in a small table of ints, so a repeated count
+searches nothing.
 
 The search follows a plan made once per pattern for a level or a count
 (`_plan`): each step of y is compared only with the earlier step of the
@@ -32,26 +47,14 @@ nearest value below it and the one of the nearest value above, or, if
 an earlier step is tied with it, is placed at the next copy of that
 step's value.  The same plan gives the bounds and the tied value above.
 A step whose value no later step reads is placed at its first fit only.
-
-`count_avoiders` counts lengths n - 1 and n in one pass over the
-grandparents at level n - 2, so levels 0..n - 2 are built and cached
-and levels n - 1 and n are not.  The same search of a grandparent g
-(`_occurrences`) also records the value tuples of the occurrences of
-y[:-2], reduced to what steps k - 2 and k - 1 of y read.  The tuples of
-y[:-1] in a child g a are then g's own, bumped if a is a new value, and
-those of y[:-2] that step k - 2 extends by a (`_child_masks`), so no
-child is searched; the letters it forbids are a bit mask, and its
-allowed letters are counted by popcount.  The counts of a pass are kept
-in a small table of ints, so a repeated count searches nothing.
-`count_avoiders_upto` takes the shorter lengths from the levels that
-pass builds.  `contains` shares none of this; it is the oracle the
-search is tested against.
+`contains` shares none of this; it is the oracle the search is tested
+against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .words import (
     Word,
@@ -151,19 +154,6 @@ def _plan(y: Word) -> Plan:
     return tuple(plan)
 
 
-def _forbidden_letters(w: Word, plan: Plan) -> set[int]:
-    """The letters a whose child of w has an occurrence of the pattern y
-    of `plan = _plan(y)` that ends at a, by the rule above; if w avoids
-    y, the letters whose child contains y.
-
-    >>> sorted(_forbidden_letters((1, 2), _plan((1, 2, 2))))  # 1 2 2
-    [2]
-    >>> sorted(_forbidden_letters((1, 2, 1), _plan((1, 3, 2))))  # 1 3 1 2
-    [2]
-    """
-    return _forbidden(w, [plan])
-
-
 @lru_cache(maxsize=256)
 def _layout(plan: Plan) -> tuple[frozenset[int], tuple[bool, ...]]:
     """The steps of y whose values a later step of `plan` reads (the tied
@@ -182,16 +172,9 @@ def _layout(plan: Plan) -> tuple[frozenset[int], tuple[bool, ...]]:
     return frozenset(reads(plan)), tuple(i in last_two for i in range(len(plan) - 2))
 
 
-def _occurrences(
-    w: Word, plan: Plan, with_stems: bool = True
-) -> tuple[set, set | None]:
+def _occurrences(w: Word, plan: Plan) -> tuple[set, set]:
     """The occurrences in w of y[:-1] and of y[:-2], for the pattern y of
-    `plan = _plan(y)`, as two sets of value tuples, found by one search
-    (the second is None unless `with_stems`).  Building a level
-    (`_forbidden`) needs no stems; without them the search window is one
-    position narrower and no stem tuples are made, which takes a tenth to
-    a fifth off the wall time of `generate --n 10 --avoid 2321` (2-vCPU
-    VM).
+    `plan = _plan(y)`, as two sets of value tuples, found by one search.
 
     An end (an occurrence of y[:-1]) keeps only what y's last step reads:
     the tied value, or else the pair (lower, upper).  A stem (one of
@@ -207,11 +190,10 @@ def _occurrences(
     reads, keep = _layout(plan)
     chosen = [0] * (k - 1) + [0, max(w, default=0) + 1]
     ends: set = set()
-    stems = set() if with_stems else None
+    stems: set = set()
     # Step s of y[:-2] may sit at position len(w) - k + 2 + s, one further
     # right than in y[:-1].
-    stop = len(w) - k + 2 + with_stems
-    _place(w, plan, reads, keep, chosen, 0, 0, stop, ends, stems)
+    _place(w, plan, reads, keep, chosen, 0, 0, len(w) - k + 3, ends, stems)
     return ends, stems
 
 
@@ -225,7 +207,7 @@ def _place(
     start: int,
     stop: int,
     ends: set,
-    stems: set | None,
+    stems: set,
 ) -> None:
     """Extend the occurrence of y[:s] in `chosen` by step s, at a position
     in range(start, stop) of w, recording it in `stems` at s = k - 2 and
@@ -236,8 +218,7 @@ def _place(
         ends.add(chosen[tied] if tied >= 0 else (chosen[below], chosen[above]))
         return
     if s == k - 2:
-        if stems is not None:
-            stems.add(tuple(v if kept else 0 for v, kept in zip(chosen, keep)))
+        stems.add(tuple(v if kept else 0 for v, kept in zip(chosen, keep)))
         stop = len(w)
     if tied >= 0:
         # The leftmost copy of the tied value reaches every later occurrence.
@@ -263,19 +244,30 @@ def _place(
             seen.add(v)
 
 
-def _end_mask(ends: set, plan: Plan, last: int) -> int:
+def _accepted(end, tied: bool, last: int) -> range:
+    """The letters a that a step of a pattern accepts after the values
+    `end` it reads of the earlier steps, in a word with last letter
+    `last`, by the rule above: the tied value `end` if a is appended as it
+    is, else, for `end = (lower, upper)`, every a with lower < a < upper,
+    and the upper bound too when a is a new value.
+
+    >>> _accepted((1, 3), False, 2), _accepted(2, True, 1)
+    (range(2, 4), range(2, 2))
+    """
+    if tied:
+        return range(end, end + (end <= last))
+    lo, hi = end
+    return range(lo + 1, hi + (hi > last))
+
+
+def _end_mask(ends: Iterable, plan: Plan, last: int) -> int:
     """The letters (as bits) that complete one of the ends of y[:-1] in a
-    word with last letter `last`, by the rule above: a tied value if it is
-    appended as it is, else every a with lower < a < upper, and the upper
-    bound too when it is a new value."""
+    word with last letter `last`."""
+    tied = plan[-1][2] >= 0
     mask = 0
-    if plan[-1][2] >= 0:
-        for v in ends:
-            if v <= last:
-                mask |= 1 << v
-    else:
-        for lo, hi in ends:
-            mask |= (1 << hi) - (1 << (lo + 1)) | (1 << hi if hi > last else 0)
+    for end in ends:
+        r = _accepted(end, tied, last)
+        mask |= (1 << r.stop) - (1 << r.start)
     return mask
 
 
@@ -297,17 +289,10 @@ def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[i
         below, above, tied = plan[-2]
         below1, above1, tied1 = plan[-1]
         for stem in stems:
-            # Slot -3 of `vals` is step k - 2, the child's last letter.  The
-            # letters it accepts follow the rule of `_end_mask`, written out
-            # here: a call per stem made `count --avoid` about 5 % slower
-            # (2-vCPU VM).
+            # Slot -3 of `vals` is step k - 2, the child's last letter.
             vals = [*stem, 0, 0, m + 1]
-            if tied >= 0:
-                letters = (vals[tied],) if vals[tied] <= last else ()
-            else:
-                lo, hi = vals[below], vals[above]
-                letters = range(lo + 1, hi + (hi > last))
-            for a in letters:
+            end = vals[tied] if tied >= 0 else (vals[below], vals[above])
+            for a in _accepted(end, tied >= 0, last):
                 bump = a > last
                 vals = [v + (bump and v >= a) for v in stem]
                 vals += (a, 0, m + 1 + bump)
@@ -336,13 +321,24 @@ def _letter_mask(m: int, last: int, prim: bool) -> int:
     return sum((1 << r.stop) - (1 << r.start) for r in _letters(m, last, prim) if r)
 
 
-def _forbidden(w: Word, plans: list[Plan]) -> set[int]:
-    """The union of `_forbidden_letters(w, plan)` over the plans."""
-    last = w[-1] if w else 0
-    mask = 0
-    for plan in plans:
-        mask |= _end_mask(_occurrences(w, plan, False)[0], plan, last)
-    return {a for a in range(mask.bit_length()) if mask >> a & 1}
+def _grown(
+    parents: Iterable[Word], plans: list[Plan]
+) -> Iterator[tuple[Word, int, list[int]]]:
+    """Each parent w with the letters (as bits) its children may not end
+    with and, at the index of each child's last letter, the letters that
+    child's own children may not end with: one search of w per plan
+    (`_occurrences`), and none of a child."""
+    for w in parents:
+        m = max(w, default=0)
+        last = w[-1] if w else 0
+        bad = 0
+        below = [0] * (m + 2)
+        for plan in plans:
+            ends, stems = _occurrences(w, plan)
+            bad |= _end_mask(ends, plan, last)
+            for a, mask in enumerate(_child_masks(plan, ends, stems, m, last)):
+                below[a] |= mask
+        yield w, bad, below
 
 
 #: The number of avoiders of each (length, patterns, class) counted or
@@ -353,18 +349,35 @@ _COUNTS: dict[tuple[int, frozenset[Word], str], int] = {}
 @lru_cache(maxsize=None)
 def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     """Level n of the class's generating tree (see `words`) with, below
-    each parent, the children that contain a pattern left out.  Its
-    length goes into `_COUNTS`."""
+    each parent, the children that contain a pattern left out, grown from
+    level n - 2 (`_parents`).  The lengths of levels n - 1 and n go into
+    `_COUNTS`."""
     if n == 0:
         return ((),)
-    plans = [_plan(y) for y in pats]
-    level = tuple(
-        c
-        for w in _avoider_level(n - 1, pats, cls)
-        for c in _children(w, cls == "prim", _forbidden(w, plans))
-    )
+    prim = cls == "prim"
+    level: list[Word] = []
+    parents = 0
+    for w, bad in _parents(n, pats, cls):
+        parents += 1
+        level += _children(w, prim, bad)
+    _COUNTS[n - 1, pats, cls] = parents
     _COUNTS[n, pats, cls] = len(level)
-    return level
+    return tuple(level)
+
+
+def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word, int]]:
+    """The avoiders of length n - 1 (n >= 1), each with the letters (as
+    bits) its children may not end with: the children of the cached level
+    n - 2 (level 0 itself for n = 1), which are not cached."""
+    plans = [_plan(y) for y in pats]
+    if n == 1:
+        return ((w, bad) for w, bad, _ in _grown(_avoider_level(0, pats, cls), plans))
+    prim = cls == "prim"
+    return (
+        (c, below[c[-1]])
+        for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), plans)
+        for c in _children(g, prim, bad)
+    )
 
 
 def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
@@ -401,8 +414,8 @@ def sorted_avoider_keys(
 ) -> list[bytes]:
     """`avoiders(n, patterns, cls)` as byte strings, one byte per letter,
     expanded from the parents at level n - 1 by `words.sorted_children`;
-    level n is not cached.  Raises ValueError unless n <= `words.KEY_CAP`,
-    before any level is built.
+    levels n - 1 and n are not cached.  Raises ValueError unless
+    n <= `words.KEY_CAP`, before any level is built.
 
     >>> [list(k) for k in sorted_avoider_keys(3, [(1, 2, 2)])]
     [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 3]]
@@ -411,17 +424,15 @@ def sorted_avoider_keys(
     _check_key_length(n)
     if n == 0:
         return [b""]
-    plans = [_plan(y) for y in pats]
-    parents = _avoider_level(n - 1, pats, cls)
-    return sorted_children(parents, n, cls == "prim", lambda w: _forbidden(w, plans))
+    return sorted_children(_parents(n, pats, cls), n, cls == "prim")
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:
     """Number of length-n members of the class avoiding every given
     pattern, counted with length n - 1 from their grandparents: levels
-    0..n - 2 are built (and kept in the cache of `_avoider_level`),
-    levels n - 1 and n are not.  A length counted or built before is
-    read from `_COUNTS`, with no search.
+    n - 2, n - 4, ... are built (and kept in the cache of
+    `_avoider_level`), levels n - 1 and n are not.  A length counted or
+    built before is read from `_COUNTS`, with no search.
 
     >>> [count_avoiders(n, [(2, 3, 2, 1)]) for n in range(8)]  # Bell numbers
     [1, 1, 2, 5, 15, 52, 203, 877]
@@ -435,8 +446,9 @@ def count_avoiders_upto(
     n: int, patterns: Iterable[Word], cls: str = "modasc"
 ) -> list[int]:
     """`[count_avoiders(k, patterns, cls) for k in range(n + 1)]`, with
-    each level searched once: lengths 0..n - 2 are the lengths of the
-    levels built to count lengths n - 1 and n from their grandparents.
+    each level searched once: each level built to count lengths n - 1
+    and n from their grandparents records its own length and its
+    parents', which gives lengths 0..n - 2.
 
     >>> count_avoiders_upto(7, [(2, 3, 2, 1)])  # Bell numbers
     [1, 1, 2, 5, 15, 52, 203, 877]
@@ -447,42 +459,27 @@ def count_avoiders_upto(
 
 
 def _count(n: int, pats: frozenset[Word], cls: str) -> int:
-    """`count_avoiders` of the checked patterns: from `_COUNTS`, else from
-    level n (n < 2) or a pass over the grandparents at level n - 2."""
+    """`count_avoiders` of the checked patterns: the length of level n if
+    n < 2, else from `_COUNTS` or, with length n - 1, from the
+    grandparents at level n - 2 (`_grown`), each allowed letter a bit."""
+    if n < 2:
+        return len(_avoider_level(n, pats, cls))
     key = (n, pats, cls)
-    if key not in _COUNTS:
-        if n < 2:
-            _COUNTS[key] = len(_avoider_level(n, pats, cls))
-        else:
-            _COUNTS[n - 1, pats, cls], _COUNTS[key] = _count_last_two(n - 2, pats, cls)
-    return _COUNTS[key]
-
-
-def _count_last_two(n: int, pats: frozenset[Word], cls: str) -> tuple[int, int]:
-    """The numbers of avoiders of the checked patterns of lengths n + 1 and
-    n + 2, counted from their grandparents at level n: each is searched
-    once per pattern (`_occurrences`), its children's forbidden letters
-    come from that search (`_child_masks`), and each allowed letter is a
-    bit."""
+    if key in _COUNTS:
+        return _COUNTS[key]
     prim = cls == "prim"
-    plans = [_plan(y) for y in pats]
     parents = children = 0
-    for g in _avoider_level(n, pats, cls):
-        m = max(g, default=0)
+    for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), [_plan(y) for y in pats]):
+        m = len(below) - 2
         last = g[-1] if g else 0
-        allowed = _letter_mask(m, last, prim)
-        bad = [0] * (m + 2)
-        for plan in plans:
-            ends, stems = _occurrences(g, plan)
-            allowed &= ~_end_mask(ends, plan, last)
-            for a, mask in enumerate(_child_masks(plan, ends, stems, m, last)):
-                bad[a] |= mask
+        allowed = _letter_mask(m, last, prim) & ~bad
         parents += allowed.bit_count()
         for a in range(1, m + 2):
             if allowed >> a & 1:
                 letters = _letter_mask(m + (a > last), a, prim)
-                children += (letters & ~bad[a]).bit_count()
-    return parents, children
+                children += (letters & ~below[a]).bit_count()
+    _COUNTS[n - 1, pats, cls], _COUNTS[key] = parents, children
+    return children
 
 
 def _is_permutation(p: Perm) -> bool:

@@ -40,7 +40,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -219,21 +219,21 @@ def _letters(m: int, last: int, prim: bool) -> tuple[range, range]:
     return range(1, last if prim else last + 1), range(last + 1, m + 2)
 
 
-def _children(w: Word, prim: bool, bad=()) -> Iterator[Word]:
+def _children(w: Word, prim: bool, bad: int = 0) -> Iterator[Word]:
     """The children of w in generation order, leaving out every child
-    whose last letter is in `bad`.
+    whose last letter a has bit a set in `bad`.
 
     >>> list(_children((1, 3, 1, 2), False))
     [(1, 3, 1, 2, 1), (1, 3, 1, 2, 2), (1, 4, 1, 2, 3), (1, 3, 1, 2, 4)]
-    >>> list(_children((1, 3, 1, 2), True, bad={4}))
+    >>> list(_children((1, 3, 1, 2), True, bad=1 << 4))
     [(1, 3, 1, 2, 1), (1, 4, 1, 2, 3)]
     """
     kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, prim)
     for a in kept:
-        if a not in bad:
+        if not bad >> a & 1:
             yield w + (a,)
     for a in bumped:
-        if a not in bad:
+        if not bad >> a & 1:
             yield tuple(v + 1 if v >= a else v for v in w) + (a,)
 
 
@@ -295,21 +295,16 @@ def _check_key_length(n: int) -> None:
         raise ValueError(f"length {n} exceeds {KEY_CAP}: a letter must fit in a byte")
 
 
-def sorted_children(
-    parents: Iterable[Word],
-    n: int,
-    prim: bool,
-    forbidden: Callable[[Word], Container[int]] = lambda w: (),
-) -> list[bytes]:
-    """The children of `parents` (words of length n - 1, 1 <= n <= KEY_CAP)
-    as sorted byte strings, leaving out below each parent w the letters in
-    `forbidden(w)`.
+def sorted_children(parents: Iterable[tuple[Word, int]], n: int, prim: bool) -> list[bytes]:
+    """The children of the (w, bad) pairs of `parents` (words w of length
+    n - 1, 1 <= n <= KEY_CAP) as sorted byte strings, leaving out below
+    each w the letters a with bit a set in `bad`.
 
     A kept letter a appends the byte a to the parent's key; a bumped one
     first maps every byte v >= a to v + 1 by one `bytes.translate` table.
 
-    >>> [list(k) for k in sorted_children(_level(2, False), 3, False, lambda w: {3})]
-    [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2]]
+    >>> [list(k) for k in sorted_children([((1, 2), 1 << 3)], 3, False)]
+    [[1, 2, 1], [1, 2, 2]]
     """
     one = [bytes((a,)) for a in range(n + 1)]
     bump = [
@@ -317,15 +312,14 @@ def sorted_children(
     ]
     keys: list[bytes] = []
     append = keys.append
-    for w in parents:
+    for w, bad in parents:
         key = bytes(w)
-        bad = forbidden(w)
         kept, bumped = _letters(max(key, default=0), key[-1] if key else 0, prim)
         for a in kept:
-            if a not in bad:
+            if not bad >> a & 1:
                 append(key + one[a])
         for a in bumped:
-            if a not in bad:
+            if not bad >> a & 1:
                 append(key.translate(bump[a]) + one[a])
     keys.sort()
     return keys
@@ -344,7 +338,7 @@ def sorted_keys(n: int, prim: bool) -> list[bytes]:
     _check_key_length(n)
     if n == 0:
         return [b""]
-    return sorted_children(_level(n - 1, prim), n, prim)
+    return sorted_children(((w, 0) for w in _level(n - 1, prim)), n, prim)
 
 
 def iter_sorted(n: int, prim: bool) -> Iterator[Word]:

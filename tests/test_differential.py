@@ -53,16 +53,20 @@ def brute_ends_with(x, y):
     )
 
 
+def bits(mask):
+    return {a for a in range(mask.bit_length()) if mask >> a & 1}
+
+
 def test_forbidden_letters_match_brute_force():
     # A child without its last letter is order isomorphic to its parent, so
     # on a parent that avoids y these are the letters whose child contains y.
     for n in range(6):
-        for w in words._level(n, False):
-            children = list(words._children(w, False))
-            for y in CAYLEY_PATTERNS:
+        for y in CAYLEY_PATTERNS:
+            plans = [patterns._plan(y)]
+            for w, bad, _ in patterns._grown(words._level(n, False), plans):
+                children = words._children(w, False)
                 want = {c[-1] for c in children if brute_ends_with(c, y)}
-                got = patterns._forbidden_letters(w, patterns._plan(y))
-                assert got == want, (w, y)
+                assert bits(bad) == want, (w, y)
 
 
 def brute_endings(x):
@@ -82,22 +86,20 @@ def test_child_step_matches_searching_the_child():
     # the child itself.  The step reads the parent's label, not its class,
     # and every primitive child is a child of the same modasc word, so the
     # modasc levels cover both classes.
-    plans = {y: patterns._plan(y) for y in CAYLEY_PATTERNS}
+    plans = {y: [patterns._plan(y)] for y in CAYLEY_PATTERNS}
     for n in range(7):
         for w in words._level(n, False):
-            m, last = max(w, default=0), w[-1] if w else 0
             steps = []
             for y, plan in plans.items():
                 if not patterns.contains(w, y):
-                    ends, stems = patterns._occurrences(w, plan)
-                    masks = patterns._child_masks(plan, ends, stems, m, last)
-                    steps.append((y, plan, masks))
+                    [(_, _, below)] = patterns._grown([w], plan)
+                    steps.append((y, plan, below))
             for c in words._children(w, False):
                 kids = [(x[-1], brute_endings(x)) for x in words._children(c, False)]
-                for y, plan, masks in steps:
-                    mask = masks[c[-1]]
-                    got = {a for a in range(mask.bit_length()) if mask >> a & 1}
-                    assert got == patterns._forbidden_letters(c, plan), (w, c, y)
+                for y, plan, below in steps:
+                    [(_, searched, _)] = patterns._grown([c], plan)
+                    got = bits(below[c[-1]])
+                    assert got == bits(searched), (w, c, y)
                     assert got == {a for a, ys in kids if y in ys}, (w, c, y)
 
 

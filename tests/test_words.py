@@ -13,6 +13,8 @@ from modasc.series import IntSeries
 # endofunction oracle below
 MODASC_COUNTS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
 PRIM_COUNTS = [1, 1, 1, 2, 5, 16, 61, 271, 1372, 7795]
+# the Bell numbers, n = 0..10: the 2321-avoiders of each length
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 def test_parse_word_forms():
@@ -174,28 +176,40 @@ def test_count_builds_no_level(capsys):
     assert capsys.readouterr().out == f"{MODASC_COUNTS[9]}\n{PRIM_COUNTS[9]}\n"
 
 
+def assert_cached_avoider_levels(lengths, pats, cls="modasc"):
+    """The cache of `patterns._avoider_level` holds exactly these lengths of
+    the avoiders of `pats`: as many entries, and each of them a hit."""
+    before = patterns._avoider_level.cache_info()
+    assert before.currsize == len(lengths)
+    for n in lengths:
+        patterns._avoider_level(n, frozenset(pats), cls)
+    after = patterns._avoider_level.cache_info()
+    assert (after.hits, after.misses) == (before.hits + len(lengths), before.misses)
+
+
 def test_count_avoid_builds_no_level_n(capsys):
-    patterns._avoider_level.cache_clear()
-    patterns._COUNTS.clear()
-    assert cli.main(["count", "--n", "9", "--avoid", "2321"]) == 0
-    assert capsys.readouterr().out == "21147\n"
-    # levels 0..7: lengths 8 and 9 are counted from level 7's grandparents
-    assert patterns._avoider_level.cache_info().currsize == 8
+    for n, lengths in ((9, {0, 1, 3, 5, 7}), (10, {0, 2, 4, 6, 8})):
+        patterns._avoider_level.cache_clear()
+        patterns._COUNTS.clear()
+        assert cli.main(["count", "--n", str(n), "--avoid", "2321"]) == 0
+        assert capsys.readouterr().out == f"{BELL[n]}\n"
+        # lengths n - 1 and n are counted from level n - 2, grown from n - 4
+        assert_cached_avoider_levels(lengths, [(2, 3, 2, 1)])
 
 
 def test_count_avoiders_upto_builds_no_level_n_minus_1():
     patterns._avoider_level.cache_clear()
     patterns._COUNTS.clear()
-    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
-    assert patterns.count_avoiders_upto(9, [(2, 3, 2, 1)]) == bell
-    # levels 0..7 only
-    assert patterns._avoider_level.cache_info().currsize == 8
+    assert patterns.count_avoiders_upto(9, [(2, 3, 2, 1)]) == BELL[:10]
+    assert_cached_avoider_levels({0, 1, 3, 5, 7}, [(2, 3, 2, 1)])
 
 
 def test_repeated_count_searches_nothing(monkeypatch):
+    # n = 8 and n = 9 grow from levels of both parities
     patterns._COUNTS.clear()
     firsts = {
-        cls: patterns.count_avoiders_upto(8, [(2, 1, 3, 2)], cls)
+        (n, cls): patterns.count_avoiders_upto(n, [(2, 1, 3, 2)], cls)
+        for n in (8, 9)
         for cls in ("modasc", "prim")
     }
 
@@ -203,10 +217,9 @@ def test_repeated_count_searches_nothing(monkeypatch):
         raise AssertionError("a repeated count searched again")
 
     monkeypatch.setattr(patterns, "_occurrences", searched)
-    monkeypatch.setattr(patterns, "_forbidden", searched)
-    for cls in ("modasc", "prim"):
-        assert patterns.count_avoiders_upto(8, [(2, 1, 3, 2)], cls) == firsts[cls]
-        assert patterns.count_avoiders(8, [(2, 1, 3, 2)], cls) == firsts[cls][8]
+    for (n, cls), first in firsts.items():
+        assert patterns.count_avoiders_upto(n, [(2, 1, 3, 2)], cls) == first
+        assert patterns.count_avoiders(n, [(2, 1, 3, 2)], cls) == first[n]
 
 
 def test_iter_sorted_is_the_sorted_level():
@@ -237,11 +250,9 @@ def test_sorted_keys_reject_letters_beyond_a_byte():
 def test_generate_avoid_caches_levels_below_n(capsys):
     patterns._avoider_level.cache_clear()
     assert cli.main(["generate", "--n", "9", "--avoid", "2321"]) == 0
-    info = patterns._avoider_level.cache_info()
-    # levels 0..8: level 9 is sorted from level 8's children, not cached
-    assert info.currsize == 9
-    assert info.hits + info.misses > 0
-    assert len(capsys.readouterr().out.splitlines()) == 21147
+    # level 9 is sorted from the children of level 7, and neither is cached
+    assert_cached_avoider_levels({0, 1, 3, 5, 7}, [(2, 3, 2, 1)])
+    assert len(capsys.readouterr().out.splitlines()) == BELL[9]
 
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
