@@ -25,7 +25,7 @@ y's last), an upper bound (its smallest value above) and maybe a value
 tied with y's last.  It forbids the child letter equal to the tied
 value if that letter is appended as it is, or with no tied value every
 appended a with lower < a < upper and every bumped a (a new value, the
-only copy of itself) with lower < a <= upper (`_accepted`).  The ends
+only copy of itself) with lower < a <= upper (`_end_mask`).  The ends
 of a child w a are w's own, bumped if a is a new value, and the stems
 that step k - 2 of y accepts with a, extended by a (`_child_masks`).
 So the one search of w gives, as bit masks, the letters its children
@@ -244,30 +244,25 @@ def _place(
             seen.add(v)
 
 
-def _accepted(end, tied: bool, last: int) -> range:
-    """The letters a that a step of a pattern accepts after the values
-    `end` it reads of the earlier steps, in a word with last letter
-    `last`, by the rule above: the tied value `end` if a is appended as it
-    is, else, for `end = (lower, upper)`, every a with lower < a < upper,
-    and the upper bound too when a is a new value.
+def _end_mask(ends: Iterable, tied: bool, last: int) -> int:
+    """The letters (as bits) that complete one of `ends` in a word with
+    last letter `last`, by the rule above.  An end is what a step of a
+    pattern reads of the earlier steps: a tied value if `tied`, which
+    only itself appended as it is completes, else a pair (lower, upper),
+    which every a with lower < a < upper completes, and the upper bound
+    too when a is a new value.
 
-    >>> _accepted((1, 3), False, 2), _accepted(2, True, 1)
-    (range(2, 4), range(2, 2))
+    >>> bin(_end_mask([(1, 3)], False, 2)), _end_mask([2], True, 1)
+    ('0b1100', 0)
     """
-    if tied:
-        return range(end, end + (end <= last))
-    lo, hi = end
-    return range(lo + 1, hi + (hi > last))
-
-
-def _end_mask(ends: Iterable, plan: Plan, last: int) -> int:
-    """The letters (as bits) that complete one of the ends of y[:-1] in a
-    word with last letter `last`."""
-    tied = plan[-1][2] >= 0
     mask = 0
-    for end in ends:
-        r = _accepted(end, tied, last)
-        mask |= (1 << r.stop) - (1 << r.start)
+    if tied:
+        for v in ends:
+            if v <= last:
+                mask |= 1 << v
+    else:
+        for lo, hi in ends:
+            mask |= (1 << hi + (hi > last)) - (2 << lo)
     return mask
 
 
@@ -292,7 +287,10 @@ def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[i
             # Slot -3 of `vals` is step k - 2, the child's last letter.
             vals = [*stem, 0, 0, m + 1]
             end = vals[tied] if tied >= 0 else (vals[below], vals[above])
-            for a in _accepted(end, tied >= 0, last):
+            letters = _end_mask((end,), tied >= 0, last)
+            while letters:
+                a = letters.bit_length() - 1
+                letters ^= 1 << a
                 bump = a > last
                 vals = [v + (bump and v >= a) for v in stem]
                 vals += (a, 0, m + 1 + bump)
@@ -307,7 +305,7 @@ def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[i
             child = [v + (v >= a) for v in ends]
         else:
             child = [(lo + (lo >= a), hi + (hi >= a)) for lo, hi in ends]
-        masks[a] = _end_mask(child + extended[a], plan, a)
+        masks[a] = _end_mask(child + extended[a], tied_end, a)
     return masks
 
 
@@ -335,7 +333,7 @@ def _grown(
         below = [0] * (m + 2)
         for plan in plans:
             ends, stems = _occurrences(w, plan)
-            bad |= _end_mask(ends, plan, last)
+            bad |= _end_mask(ends, plan[-1][2] >= 0, last)
             for a, mask in enumerate(_child_masks(plan, ends, stems, m, last)):
                 below[a] |= mask
         yield w, bad, below
