@@ -30,7 +30,12 @@ of a child w a are w's own, bumped if a is a new value, and the stems
 that step k - 2 of y accepts with a, extended by a (`_child_masks`).
 So the one search of w gives, as bit masks, the letters its children
 may not end with and those each child's children may not end with
-(`_grown`); no child is searched.
+(`_grown`); no child is searched.  The masks depend on w only through
+its occurrence state: its maximum, its last letter and its ends and
+stems.  Far fewer states than words occur (195 among the 4,140 avoiders
+of 2321 of length 8), so the masks are worked out once per distinct
+state of a level, and `count_avoiders` counts once per distinct state,
+weighted by the number of words in it.
 
 Levels thus grow two steps at a time: level n is expanded from level
 n - 2 (level 1 from level 0), and only levels n - 2, n - 4, ... below it
@@ -53,7 +58,9 @@ against.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .words import (
@@ -266,17 +273,20 @@ def _end_mask(ends: Iterable, tied: bool, last: int) -> int:
     return mask
 
 
-def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[int]:
+def _child_masks(
+    plan: Plan, ends: set, stems: set, m: int, last: int, allowed: int
+) -> list[int]:
     """`_end_mask` of each child of a word with maximum m and last letter
-    `last`, at the index of the child's last letter a, from the word's
+    `last`, at the index of the child's last letter a, for the letters
+    `allowed` (as bits) and 0 at the others, from the word's
     `_occurrences` alone: the child's ends are the word's, bumped if a is
     a new value, and the stems that step k - 2 extends by a.
 
     >>> plan = _plan((1, 2, 1))
     >>> _occurrences((1, 2), plan)
     ({1}, {(1,), (2,)})
-    >>> _child_masks(plan, *_occurrences((1, 2), plan), 2, 2)  # 1 2 a b
-    [0, 2, 2, 6]
+    >>> _child_masks(plan, *_occurrences((1, 2), plan), 2, 2, 0b1100)  # 1 2 a b, a > 1
+    [0, 0, 2, 6]
     """
     tied_end = plan[-1][2] >= 0
     extended: list[list] = [[] for _ in range(m + 2)]
@@ -287,7 +297,7 @@ def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[i
             # Slot -3 of `vals` is step k - 2, the child's last letter.
             vals = [*stem, 0, 0, m + 1]
             end = vals[tied] if tied >= 0 else (vals[below], vals[above])
-            letters = _end_mask((end,), tied >= 0, last)
+            letters = _end_mask((end,), tied >= 0, last) & allowed
             while letters:
                 a = letters.bit_length() - 1
                 letters ^= 1 << a
@@ -298,7 +308,9 @@ def _child_masks(plan: Plan, ends: set, stems: set, m: int, last: int) -> list[i
                     vals[tied1] if tied1 >= 0 else (vals[below1], vals[above1])
                 )
     masks = [0] * (m + 2)
-    for a in range(1, m + 2):
+    while allowed:
+        a = allowed.bit_length() - 1
+        allowed ^= 1 << a
         if a <= last:
             child = [*ends]
         elif tied_end:
@@ -320,23 +332,56 @@ def _letter_mask(m: int, last: int, prim: bool) -> int:
 
 
 def _grown(
-    parents: Iterable[Word], plans: list[Plan]
-) -> Iterator[tuple[Word, int, list[int]]]:
+    parents: Iterable[Word], plans: list[Plan], prim: bool
+) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
     """Each parent w with the letters (as bits) its children may not end
     with and, at the index of each child's last letter, the letters that
     child's own children may not end with: one search of w per plan
-    (`_occurrences`), and none of a child."""
+    (`_occurrences`), and none of a child.
+
+    Both follow from w's occurrence state alone: its maximum, its last
+    letter and, per plan, its ends and stems.  So the masks are worked out
+    once per distinct state of the call (`_state_masks`) and shared by
+    every parent in it; the memo is freed when the call returns."""
+    tied = [plan[-1][2] >= 0 for plan in plans]
+    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     for w in parents:
         m = max(w, default=0)
         last = w[-1] if w else 0
-        bad = 0
-        below = [0] * (m + 2)
-        for plan in plans:
-            ends, stems = _occurrences(w, plan)
-            bad |= _end_mask(ends, plan[-1][2] >= 0, last)
-            for a, mask in enumerate(_child_masks(plan, ends, stems, m, last)):
-                below[a] |= mask
-        yield w, bad, below
+        # The state as a flat tuple of small ints, which is canonical and
+        # far smaller than a tuple of sets: m, last and, per plan, the
+        # sorted ends and the sorted stems, each set closed by -1.  A
+        # plan's ends and stems have a fixed width, so it is injective.
+        state = [m, last]
+        found = []
+        for plan, t in zip(plans, tied):
+            ends, stems = occurrences = _occurrences(w, plan)
+            found.append(occurrences)
+            state += sorted(ends) if t else chain.from_iterable(sorted(ends))
+            state.append(-1)
+            state += chain.from_iterable(sorted(stems))
+            state.append(-1)
+        key = tuple(state)
+        masks = memo.get(key)
+        if masks is None:
+            masks = memo[key] = _state_masks(plans, found, m, last, prim)
+        yield w, *masks
+
+
+def _state_masks(
+    plans: list[Plan], found: list[tuple[set, set]], m: int, last: int, prim: bool
+) -> tuple[int, tuple[int, ...]]:
+    """The masks `_grown` gives a word with maximum m, last letter `last`
+    and `found = [_occurrences(w, plan) for plan in plans]`."""
+    bad = 0
+    for plan, (ends, _) in zip(plans, found):
+        bad |= _end_mask(ends, plan[-1][2] >= 0, last)
+    allowed = _letter_mask(m, last, prim) & ~bad
+    below = [0] * (m + 2)
+    for plan, (ends, stems) in zip(plans, found):
+        for a, mask in enumerate(_child_masks(plan, ends, stems, m, last, allowed)):
+            below[a] |= mask
+    return bad, tuple(below)
 
 
 #: The number of avoiders of each (length, patterns, class) counted or
@@ -368,12 +413,12 @@ def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word, in
     bits) its children may not end with: the children of the cached level
     n - 2 (level 0 itself for n = 1), which are not cached."""
     plans = [_plan(y) for y in pats]
-    if n == 1:
-        return ((w, bad) for w, bad, _ in _grown(_avoider_level(0, pats, cls), plans))
     prim = cls == "prim"
+    if n == 1:
+        return ((w, bad) for w, bad, _ in _grown(_avoider_level(0, pats, cls), plans, prim))
     return (
         (c, below[c[-1]])
-        for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), plans)
+        for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), plans, prim)
         for c in _children(g, prim, bad)
     )
 
@@ -459,23 +504,30 @@ def count_avoiders_upto(
 def _count(n: int, pats: frozenset[Word], cls: str) -> int:
     """`count_avoiders` of the checked patterns: the length of level n if
     n < 2, else from `_COUNTS` or, with length n - 1, from the
-    grandparents at level n - 2 (`_grown`), each allowed letter a bit."""
+    grandparents at level n - 2 (`_grown`), each allowed letter a bit.
+    The letters are counted once per distinct occurrence state (the last
+    letter and masks `_grown` shares among its grandparents), weighted by
+    the number of grandparents in it."""
     if n < 2:
         return len(_avoider_level(n, pats, cls))
     key = (n, pats, cls)
     if key in _COUNTS:
         return _COUNTS[key]
     prim = cls == "prim"
+    grandparents = _avoider_level(n - 2, pats, cls)
+    states = Counter(
+        (g[-1] if g else 0, bad, below)
+        for g, bad, below in _grown(grandparents, [_plan(y) for y in pats], prim)
+    )
     parents = children = 0
-    for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), [_plan(y) for y in pats]):
+    for (last, bad, below), weight in states.items():
         m = len(below) - 2
-        last = g[-1] if g else 0
         allowed = _letter_mask(m, last, prim) & ~bad
-        parents += allowed.bit_count()
+        parents += weight * allowed.bit_count()
         for a in range(1, m + 2):
             if allowed >> a & 1:
                 letters = _letter_mask(m + (a > last), a, prim)
-                children += (letters & ~below[a]).bit_count()
+                children += weight * (letters & ~below[a]).bit_count()
     _COUNTS[n - 1, pats, cls], _COUNTS[key] = parents, children
     return children
 

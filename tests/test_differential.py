@@ -63,7 +63,7 @@ def test_forbidden_letters_match_brute_force():
     for n in range(6):
         for y in CAYLEY_PATTERNS:
             plans = [patterns._plan(y)]
-            for w, bad, _ in patterns._grown(words._level(n, False), plans):
+            for w, bad, _ in patterns._grown(words._level(n, False), plans, False):
                 children = words._children(w, False)
                 want = {c[-1] for c in children if brute_ends_with(c, y)}
                 assert bits(bad) == want, (w, y)
@@ -85,19 +85,23 @@ def test_child_step_matches_searching_the_child():
     # from its parent's occurrences of y[:-1] and y[:-2], with no search of
     # the child itself.  The step reads the parent's label, not its class,
     # and every primitive child is a child of the same modasc word, so the
-    # modasc levels cover both classes.
+    # modasc levels cover both classes.  Every letter is asked for, also
+    # those whose child contains y, which `_grown` leaves out.
     plans = {y: [patterns._plan(y)] for y in CAYLEY_PATTERNS}
     for n in range(7):
         for w in words._level(n, False):
+            m, last = max(w, default=0), w[-1] if w else 0
+            letters = patterns._letter_mask(m, last, False)
             steps = []
             for y, plan in plans.items():
                 if not patterns.contains(w, y):
-                    [(_, _, below)] = patterns._grown([w], plan)
+                    found = patterns._occurrences(w, plan[0])
+                    below = patterns._child_masks(plan[0], *found, m, last, letters)
                     steps.append((y, plan, below))
             for c in words._children(w, False):
                 kids = [(x[-1], brute_endings(x)) for x in words._children(c, False)]
                 for y, plan, below in steps:
-                    [(_, searched, _)] = patterns._grown([c], plan)
+                    [(_, searched, _)] = patterns._grown([c], plan, False)
                     got = bits(below[c[-1]])
                     assert got == bits(searched), (w, c, y)
                     assert got == {a for a, ys in kids if y in ys}, (w, c, y)
@@ -109,6 +113,71 @@ def _pattern_sets():
     sets = [(text,) for text in sorted(texts)]
     sets += [pair for pair, _, _ in checks.JOINT_EQUIVALENCES]
     return sets
+
+
+def _word_masks(w, plans, prim):
+    """`_grown`'s masks of w from w's own search, with no memo: the masks
+    of every letter 1..m + 1, kept for the letters that make a child."""
+    m, last = max(w, default=0), w[-1] if w else 0
+    found = [patterns._occurrences(w, plan) for plan in plans]
+    bad = 0
+    for plan, (ends, _) in zip(plans, found):
+        bad |= patterns._end_mask(ends, plan[-1][2] >= 0, last)
+    every = (1 << m + 2) - 2
+    below = [0] * (m + 2)
+    for plan, (ends, stems) in zip(plans, found):
+        masks = patterns._child_masks(plan, ends, stems, m, last, every)
+        below = [b | mask for b, mask in zip(below, masks)]
+    allowed = patterns._letter_mask(m, last, prim) & ~bad
+    return bad, tuple(b if allowed >> a & 1 else 0 for a, b in enumerate(below))
+
+
+@pytest.mark.parametrize(
+    "texts", _pattern_sets() + [("2321", "1212")], ids=",".join
+)
+def test_grown_matches_each_words_own_masks(texts):
+    # `_grown` works the masks out once per occurrence state and shares
+    # them; each word's own search must give the same ones.
+    ys = frozenset(patterns.parse_pattern(t) for t in texts)
+    plans = [patterns._plan(y) for y in ys]
+    for cls in ("modasc", "prim"):
+        prim = cls == "prim"
+        for n in range(8):
+            level = patterns._avoider_level(n, ys, cls)
+            grown = list(patterns._grown(level, plans, prim))
+            assert [w for w, _, _ in grown] == list(level), (texts, cls, n)
+            for w, bad, below in grown:
+                assert (bad, below) == _word_masks(w, plans, prim), (texts, cls, w)
+
+
+def test_count_works_out_each_state_once(monkeypatch):
+    # Of the 4,140 grandparents at level 8, far fewer have distinct
+    # occurrence states, and only those run `_child_masks`.
+    y = (2, 3, 2, 1)
+    plan = patterns._plan(y)
+    calls = []
+    child_masks = patterns._child_masks
+
+    def counted(*args):
+        calls.append(1)
+        return child_masks(*args)
+
+    monkeypatch.setattr(patterns, "_child_masks", counted)
+    patterns._COUNTS.clear()
+    patterns._avoider_level.cache_clear()
+    assert patterns.count_avoiders(10, [y]) == 115975
+    # The passes over levels 0, 2, 4 and 6 build levels 2 to 8; the one
+    # over level 8 counts lengths 9 and 10.
+    states = 0
+    for n in range(0, 9, 2):
+        level = patterns._avoider_level(n, frozenset([y]), "modasc")
+        states += len({
+            (max(w, default=0), w[-1] if w else 0,
+             *map(frozenset, patterns._occurrences(w, plan)))
+            for w in level
+        })
+    assert len(level) == 4140
+    assert len(calls) == states < len(level) // 10
 
 
 @pytest.mark.parametrize("texts", _pattern_sets(), ids=",".join)
