@@ -27,8 +27,14 @@ from . import checks, counting, patterns, words
 
 DEFAULT_CAP = 10
 
-#: Words formatted and written by `generate` in one `sys.stdout.write`.
+#: Words written by `generate` in one `sys.stdout.write`.  A chunk of
+#: one-digit letters (1..9) is turned into text by `bytes.translate`,
+#: any other by `%d` formatting (`_write_words`).
 WRITE_CHUNK = 4096
+
+# The letters 1..9 and their ASCII digits, for `_write_words`.
+_ONE_DIGIT = bytes(range(1, 10))
+_DIGITS = bytes.maketrans(_ONE_DIGIT, b"123456789")
 
 EXPERIMENTS = ("modasc122-vs-211", "modasc211-vs-1223")
 
@@ -117,10 +123,25 @@ def cmd_generate(args) -> int:
 
 def _write_words(out: list, n: int) -> None:
     """Print the words of length n in `out` (tuples or byte strings), one
-    per line in `format_word`'s form, WRITE_CHUNK words to a write."""
+    per line in `format_word`'s form, WRITE_CHUNK words to a write.
+
+    A chunk of byte strings whose letters are all 1..9 is joined, mapped
+    to ASCII digits by one `bytes.translate` and interleaved with the
+    separators (n - 1 spaces and a newline per word); any other chunk,
+    and every chunk at n = 0, is formatted letter by letter by `%d`.
+    """
     line = " ".join(["%d"] * n) + "\n"
+    gaps = b" " * (n - 1) + b"\n"
     for i in range(0, len(out), WRITE_CHUNK):
         chunk = out[i:i + WRITE_CHUNK]
+        if n and isinstance(chunk[0], bytes):
+            joined = b"".join(chunk)
+            if not joined.translate(None, _ONE_DIGIT):
+                text = bytearray(2 * len(joined))
+                text[0::2] = joined.translate(_DIGITS)
+                text[1::2] = gaps * len(chunk)
+                sys.stdout.write(text.decode("ascii"))
+                continue
         letters = tuple(itertools.chain.from_iterable(chunk))
         sys.stdout.write((line * len(chunk)) % letters)
 

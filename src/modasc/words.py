@@ -21,10 +21,14 @@ every old letter >= a is bumped up by one.  `_letters` states the rule,
 which from n = 4 on is not lexicographic, in an unbounded cache.
 `sorted_keys` expands the cached level n - 1 straight into byte strings,
 one byte per letter (so n <= KEY_CAP = 255), and sorts them; level n is
-never cached and never held as tuples.  `iter_sorted`, `generate_modasc`
+never cached and never held as tuples.  The expansion (`sorted_children`)
+makes each child by one `bytes.translate` of the parent's key plus a
+byte 0, through a table per letter that writes the letter in place of
+the 0 and bumps the old letters; the tables of a parent are built once
+per (maximum, last letter) label.  `iter_sorted`, `generate_modasc`
 and `generate_prim` are its tuples.  `patterns` builds its avoider
-levels by the same step, and sorts the last one by the same expansion
-(`sorted_children`), leaving out the letters a pattern forbids.
+levels by the same step, and sorts the last one by the same expansion,
+leaving out the letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -300,27 +304,36 @@ def sorted_children(parents: Iterable[tuple[Word, int]], n: int, prim: bool) -> 
     n - 1, 1 <= n <= KEY_CAP) as sorted byte strings, leaving out below
     each w the letters a with bit a set in `bad`.
 
-    A kept letter a appends the byte a to the parent's key; a bumped one
-    first maps every byte v >= a to v + 1 by one `bytes.translate` table.
+    Each child is the parent's key with a byte 0 appended, put through
+    one `bytes.translate` table: the table of a letter a maps 0 to a
+    and, if a is bumped, every v >= a to v + 1.  The tuple of tables of
+    a parent depends only on its maximum, its last letter and `bad`, so
+    it is built once per such label in a dict kept for this call.
 
     >>> [list(k) for k in sorted_children([((1, 2), 1 << 3)], 3, False)]
     [[1, 2, 1], [1, 2, 2]]
+    >>> [list(k) for k in sorted_children([((1, 3, 1, 2), 1 << 2)], 5, False)]
+    [[1, 3, 1, 2, 1], [1, 3, 1, 2, 4], [1, 4, 1, 2, 3]]
     """
-    one = [bytes((a,)) for a in range(n + 1)]
-    bump = [
-        bytes(range(a)) + bytes(range(a + 1, 256)) + b"\xff" for a in range(n + 1)
-    ]
+    same = bytes(range(1, 256))
+    labels: dict[tuple[int, int, int], tuple[bytes, ...]] = {}
     keys: list[bytes] = []
-    append = keys.append
+    extend = keys.extend
     for w, bad in parents:
-        key = bytes(w)
-        kept, bumped = _letters(max(key, default=0), key[-1] if key else 0, prim)
-        for a in kept:
-            if not bad >> a & 1:
-                append(key + one[a])
-        for a in bumped:
-            if not bad >> a & 1:
-                append(key.translate(bump[a]) + one[a])
+        key = bytes(w) + b"\0"  # the 0 leaves the max, and makes it 0 for ()
+        label = (max(key), key[-2] if w else 0, bad)
+        tables = labels.get(label)
+        if tables is None:
+            kept, bumped = _letters(label[0], label[1], prim)
+            tables = labels[label] = tuple(
+                [bytes((a,)) + same for a in kept if not bad >> a & 1]
+                + [
+                    bytes((a,)) + same[:a - 1] + same[a:] + b"\xff"
+                    for a in bumped
+                    if not bad >> a & 1
+                ]
+            )
+        extend(map(key.translate, tables))
     keys.sort()
     return keys
 

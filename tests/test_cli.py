@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -42,6 +43,36 @@ def test_generate_prints_two_digit_letters(capsys):
     level = sorted(words._level(10, True))
     assert out == "".join(words.format_word(w) + "\n" for w in level)
     assert "1 2 3 4 5 6 7 8 9 10" in out.splitlines()
+
+
+def test_write_words_matches_format_word(capsys):
+    rng = random.Random(22)
+    size = cli.WRITE_CHUNK
+
+    def digits(count, n):
+        return [bytes(rng.randrange(1, 10) for _ in range(n)) for _ in range(count)]
+
+    def with_letter(out, at, letter):
+        out = list(out)
+        out[at] = out[at][:-1] + bytes((letter,))
+        return out
+
+    one_digit = digits(2 * size + 7, 5)
+    cases = [
+        (one_digit, 5),  # no letter >= 10 in any chunk
+        (with_letter(one_digit, size, 10), 5),  # first word of a chunk
+        (with_letter(one_digit, size - 1, 255), 5),  # last word of a chunk
+        ([bytes(rng.randrange(1, 256) for _ in range(7)) for _ in range(300)], 7),
+        ([bytes((a,)) for a in range(1, 256)], 1),
+        (digits(size + 1, 1), 1),
+        ([b""], 0),
+        (sorted(words.iter_cayley(3)), 3),
+        ([(1, 12, 3), (9, 9, 9)], 3),
+    ]
+    for out, n in cases:
+        cli._write_words(out, n)
+        expected = "".join(words.format_word(w) + "\n" for w in out)
+        assert capsys.readouterr().out == expected, (n, out[:2])
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -226,6 +228,35 @@ def test_iter_sorted_is_the_sorted_level():
     for n in range(9):
         for prim in (False, True):
             assert list(words.iter_sorted(n, prim)) == sorted(words._level(n, prim))
+
+
+@pytest.mark.parametrize("prim", [False, True])
+def test_sorted_children_matches_children(prim):
+    rng = random.Random(22)
+    for n in range(1, 9):
+        level = words._level(n - 1, prim)
+        full = (1 << (n + 1)) - 1  # every letter 1..n forbidden
+        odd = full // 3  # bits 0, 2, 4, ...
+        # parents of one (max, last) label take turns between two
+        # forbidden sets, so a table kept per label alone goes stale
+        turns = []
+        seen: Counter[tuple[int, int]] = Counter()
+        for w in level:
+            label = (max(w, default=0), w[-1] if w else 0)
+            turns.append(odd if seen[label] % 2 else full - odd)
+            seen[label] += 1
+        assert n < 5 or max(seen.values()) > 1
+        masks = [
+            [0] * len(level),
+            [full] * len(level),
+            [rng.getrandbits(n + 1) for _ in level],
+            turns,
+        ]
+        for bads in masks:
+            parents = list(zip(level, bads))
+            assert words.sorted_children(parents, n, prim) == sorted(
+                bytes(c) for w, bad in parents for c in words._children(w, prim, bad)
+            ), (n, prim, bads[:3])
 
 
 def test_iter_sorted_rejects_negative_length():
