@@ -19,7 +19,6 @@ from .counting import (
     closed_counts,
     formula_table,
     has_closed_form,
-    named_sequence,
     ogf_substitute,
     oracle_table,
     p_coefficients,
@@ -45,7 +44,6 @@ from .patterns import (
     contains,
     contains_special,
     count_avoiders,
-    equal_avoidance_sets,
     in_omega,
 )
 from .series import IntSeries
@@ -85,7 +83,6 @@ __all__ = [
     "contains_special",
     "count_avoiders",
     "decompose_returns",
-    "equal_avoidance_sets",
     "format_word",
     "formula_table",
     "generate_dudu_avoiders",
@@ -99,7 +96,6 @@ __all__ = [
     "is_prim",
     "modasc112_to_composition",
     "modasc122_to_partition",
-    "named_sequence",
     "ogf_substitute",
     "omega_to_prim",
     "oracle_table",

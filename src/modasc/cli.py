@@ -72,7 +72,7 @@ def _check_cap(n: int, cap: int, what: str = "length") -> None:
 
 
 def _check_cayley(n: int, avoid: str | None) -> None:
-    if avoid:
+    if avoid is not None:
         raise _usage_error("--avoid needs --class modasc or prim")
     if n > words.ENDOFUNCTION_CAP:
         raise _usage_error(f"cayley length {n} exceeds the fixed limit {words.ENDOFUNCTION_CAP}")
@@ -110,7 +110,7 @@ def cmd_generate(args) -> int:
         out = sorted(words.iter_cayley(args.n))
     else:
         try:
-            if args.avoid:
+            if args.avoid is not None:
                 pats = _parse_avoid(args.avoid)
                 out = patterns.sorted_avoider_keys(args.n, pats, args.cls)
             else:
@@ -153,7 +153,7 @@ def cmd_count(args) -> int:
     if args.cls == "cayley":
         _check_cayley(top, args.avoid)
     _check_cap(top, args.cap)
-    pats = _parse_avoid(args.avoid) if args.avoid else None
+    pats = _parse_avoid(args.avoid) if args.avoid is not None else None
 
     def one(n: int) -> int:
         if args.cls == "cayley":

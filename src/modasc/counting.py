@@ -104,24 +104,6 @@ def dudu_count(n: int) -> int:
     return int(total)
 
 
-def named_sequence(name: str, n: int, k: int | None = None) -> int:
-    """Look up a classical sequence value by name."""
-    if name == "stirling2":
-        if k is None:
-            raise ValueError("stirling2 needs the block count k")
-        return stirling2(n, k)
-    table: dict[str, Callable[[int], int]] = {
-        "catalan": catalan,
-        "motzkin": motzkin,
-        "fibonacci": fibonacci,
-        "bell": bell,
-        "fubini": fubini,
-    }
-    if name not in table:
-        raise ValueError(f"unknown sequence {name!r}")
-    return table[name](n)
-
-
 # ---------------------------------------------------------------------------
 # closed formulas per pattern, n >= 1
 
@@ -289,17 +271,10 @@ def has_closed_form(pattern, cls: str) -> bool:
 
 @dataclass(frozen=True)
 class CountTable:
-    """A labelled run of counts n -> a(n) with its provenance."""
+    """A labelled run of counts n -> a(n), as `export` writes it."""
 
     label: str
     values: tuple[tuple[int, int], ...]  # (n, count), increasing n
-    provenance: str  # "oracle" | "formula" | "series"
-
-    def value(self, n: int) -> int:
-        for m, c in self.values:
-            if m == n:
-                return c
-        raise KeyError(f"{self.label} has no entry for n={n}")
 
     @property
     def offset(self) -> int | None:
@@ -324,12 +299,12 @@ def oracle_table(pattern, cls: str, n_max: int) -> CountTable:
     pat = _patterns.parse_pattern(_pattern_text(pattern))
     counts = _patterns.count_avoiders_upto(n_max, (pat,), cls)
     vals = tuple(enumerate(counts))[1:]
-    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals, "oracle")
+    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals)
 
 
 def formula_table(pattern, cls: str, n_max: int) -> CountTable:
     vals = tuple((n, closed_counts(pattern, cls, n)) for n in range(1, n_max + 1))
-    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals, "formula")
+    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals)
 
 
 def binomial_transform_count(prim_counts: Mapping[int, int], n: int) -> int:
@@ -456,11 +431,6 @@ def _series_motzkin(order: int) -> IntSeries:
     return m
 
 
-def prim312_series(order: int) -> IntSeries:
-    """1 + t*D(t): counts of 312-avoiding primitive words by length."""
-    return IntSeries.one(order) + _series_D(order).shift(1)
-
-
 def special_series(name: str, order: int) -> IntSeries:
     """The generating functions appearing in the 122 and 312 solutions.
 
@@ -481,7 +451,9 @@ def special_series(name: str, order: int) -> IntSeries:
     if name == "D":
         return _series_D(order)
     if name == "Modasc312":
-        return ogf_substitute(prim312_series(order), order)
+        # 1 + t D(t) counts the 312-avoiding primitive words by length.
+        prim = IntSeries.one(order) + _series_D(order).shift(1)
+        return ogf_substitute(prim, order)
     if name == "Motzkin_eq":
         return _series_motzkin(order)
     raise ValueError(f"unknown series {name!r}")

@@ -208,23 +208,6 @@ def _validated_partition(beta: SetPartition) -> SetPartition:
     return blocks
 
 
-def parse_partition(text: str) -> SetPartition:
-    """Parse the brace form, e.g. '{1,3,6}{2,7}{4}{5,8,9}'."""
-    text = text.strip()
-    if not text:
-        return ()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"malformed partition {text!r}")
-    blocks = []
-    for chunk in text[1:-1].split("}{"):
-        blocks.append(tuple(int(v) for v in chunk.split(",")))
-    return _validated_partition(tuple(blocks))
-
-
-def format_partition(beta: SetPartition) -> str:
-    return "".join("{" + ",".join(str(v) for v in b) + "}" for b in beta)
-
-
 def claesson(beta: SetPartition) -> Perm:
     """Linear order on a set partition: in each block the minimum comes
     last and all other elements come first in increasing order; blocks
@@ -261,20 +244,6 @@ def claesson_inverse(p: Perm) -> SetPartition:
             blocks.append(tuple(sorted(p[start : i + 1])))
             start = i + 1
     return _validated_partition(tuple(blocks))
-
-
-def format_standard_rep(beta: SetPartition) -> str:
-    """Dash form of the block order, e.g. '361-72-4-895'."""
-    blocks = _validated_partition(beta)
-    return "-".join("".join(str(v) for v in b[1:] + b[:1]) for b in blocks)
-
-
-def parse_standard_rep(text: str) -> SetPartition:
-    """Parse the dash form; single digits only."""
-    if not text:
-        return ()
-    blocks = tuple(tuple(int(c) for c in chunk) for chunk in text.split("-"))
-    return _validated_partition(tuple(tuple(sorted(b)) for b in blocks))
 
 
 def phi_312(x: Word) -> str:
@@ -317,7 +286,7 @@ def phi_inverse(path: str) -> Word:
     """Inverse of `phi_312`; the empty path maps to the word (1,)."""
     if path == "":
         return (1,)
-    factors = decompose_returns(path).factors
+    factors = decompose_returns(path)
     first = phi_inverse(factors[0])
     blocks = [tuple(v + 1 for v in first)]
     for q in factors[1:]:

@@ -5,28 +5,20 @@ balanced overall.  The forbidden configuration is the factor "dudu" of
 four consecutive steps; checking it is a plain substring scan.
 
 Splitting a path at its returns to the axis writes it as
-u Q1 d u Q2 d ... u Qk d.  A path avoids dudu exactly when every Qi
-avoids dudu and no interior Qi (1 < i < k) is empty, which is how
-`generate_dudu_avoiders` builds the class without post-filtering.
+u Q1 d u Q2 d ... u Qk d; `decompose_returns` gives the tuple of the
+Qi and `assemble_factors` joins it back.  A path avoids dudu exactly
+when every Qi avoids dudu and no interior Qi (1 < i < k) is empty,
+which is how `generate_dudu_avoiders` builds the class without
+post-filtering.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 _STEP_ORDER = str.maketrans("ud", "ab")  # sort with u before d
-
-
-class PathFactors(NamedTuple):
-    """The inner parts Q1..Qk of a path split at its returns."""
-
-    factors: tuple[str, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.factors)
 
 
 def assemble_factors(factors: tuple[str, ...]) -> str:
@@ -112,10 +104,11 @@ def generate_dudu_avoiders(n: int) -> tuple[str, ...]:
     return tuple(sorted(out, key=path_sort_key))
 
 
-def decompose_returns(path: str) -> PathFactors:
-    """Split a dudu-avoiding path at its returns to the axis.
+def decompose_returns(path: str) -> tuple[str, ...]:
+    """The inner parts Q1..Qk of a dudu-avoiding path split at its
+    returns to the axis.
 
-    >>> decompose_returns("udud").factors
+    >>> decompose_returns("udud")
     ('', '')
     """
     if not path:
@@ -130,4 +123,4 @@ def decompose_returns(path: str) -> PathFactors:
         if h == 0:
             factors.append(path[start + 1 : i])
             start = i + 1
-    return PathFactors(tuple(factors))
+    return tuple(factors)

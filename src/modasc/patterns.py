@@ -77,8 +77,6 @@ Perm = tuple[int, ...]
 # Per step of a pattern: the earlier steps below, above and tied (`_plan`).
 Plan = tuple[tuple[int, int, int], ...]
 
-SPECIAL_PATTERNS = ("omega", "zeta", "32-1")
-
 
 def parse_pattern(text: str) -> Word:
     from .words import parse_word
@@ -587,13 +585,6 @@ def generate_omega(n: int) -> tuple[Perm, ...]:
         if not contains_special(p, "omega"):
             out.append(p)
     return tuple(out)
-
-
-def equal_avoidance_sets(
-    y1: Word, y2: Word, cls: str = "modasc", n_max: int = 9
-) -> bool:
-    """True if the two patterns have identical avoider sets up to n_max."""
-    return avoidance_witness(y1, y2, cls, n_max) is None
 
 
 def avoidance_witness(

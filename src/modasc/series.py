@@ -70,9 +70,6 @@ class IntSeries:
         n = self._common(other)
         return IntSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
 
-    def __neg__(self) -> IntSeries:
-        return IntSeries([-c for c in self.coeffs])
-
     def __mul__(self, other) -> IntSeries:
         if isinstance(other, int):
             return IntSeries([c * other for c in self.coeffs])
@@ -115,10 +112,3 @@ class IntSeries:
         for c in reversed(self.coeffs[: n + 1]):
             acc = acc * inner.truncate(n) + IntSeries([c], n)
         return acc
-
-
-def geometric(inner: IntSeries) -> IntSeries:
-    """1/(1 - f) for a series f with zero constant term."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    return IntSeries.one(inner.order).divide(IntSeries.one(inner.order) - inner)

@@ -25,8 +25,8 @@ never cached and never held as tuples.  The expansion (`sorted_children`)
 makes each child by one `bytes.translate` of the parent's key plus a
 byte 0, through a table per letter that writes the letter in place of
 the 0 and bumps the old letters; the tables of a parent are built once
-per (maximum, last letter) label.  `iter_sorted`, `generate_modasc`
-and `generate_prim` are its tuples.  `patterns` builds its avoider
+per (maximum, last letter) label.  `generate_modasc` and
+`generate_prim` are its tuples.  `patterns` builds its avoider
 levels by the same step, and sorts the last one by the same expansion,
 leaving out the letters a pattern forbids.
 
@@ -354,16 +354,6 @@ def sorted_keys(n: int, prim: bool) -> list[bytes]:
     return sorted_children(((w, 0) for w in _level(n - 1, prim)), n, prim)
 
 
-def iter_sorted(n: int, prim: bool) -> Iterator[Word]:
-    """Stream level n (the primitive words if `prim`) in lexicographic
-    order: the tuples of `sorted_keys(n, prim)`.
-
-    >>> list(iter_sorted(3, True))
-    [(1, 2, 1), (1, 2, 3)]
-    """
-    return map(tuple, sorted_keys(n, prim))
-
-
 def generate_modasc(n: int) -> list[Word]:
     """All modified ascent sequences of length n, lexicographically sorted
     as the byte strings of `sorted_keys`; level n is not cached.
@@ -371,13 +361,13 @@ def generate_modasc(n: int) -> list[Word]:
     >>> generate_modasc(3)
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
-    return list(iter_sorted(n, False))
+    return list(map(tuple, sorted_keys(n, False)))
 
 
 def generate_prim(n: int) -> list[Word]:
     """All primitive modified ascent sequences of length n, sorted as the
     byte strings of `sorted_keys`; level n is not cached."""
-    return list(iter_sorted(n, True))
+    return list(map(tuple, sorted_keys(n, True)))
 
 
 def iter_cayley(n: int) -> Iterator[Word]:

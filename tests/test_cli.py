@@ -166,6 +166,11 @@ def test_count_upto_prim_with_avoid(capsys):
         (["count", "--upto", "3", "--avoid", "13"], "pattern '13' is not a Cayley"),
         (["count", "--class", "cayley", "--upto", "3", "--avoid", "12"],
          "--avoid needs --class modasc or prim"),
+        (["count", "--n", "5", "--avoid", ""], "a pattern must be nonempty"),
+        (["count", "--upto", "5", "--avoid", ""], "a pattern must be nonempty"),
+        (["count", "--class", "cayley", "--n", "3", "--avoid", ""],
+         "--avoid needs --class modasc or prim"),
+        (["generate", "--n", "3", "--avoid", ""], "a pattern must be nonempty"),
     ],
 )
 def test_count_rejects_bad_avoid(capsys, argv, message):
@@ -389,6 +394,7 @@ def test_table_small(capsys):
 
 
 TABLE_SHA256 = "1fac25b588fc1273a662b100305babe6c67becfd932d709e02d9e5ec11ba758d"
+VERIFY_SHA256 = "175ca8a0df9fef8c6b88b487c82b37914526b14c68f581fbbc984b7c5442d43a"
 
 
 def test_table_default_output(capsys):
@@ -436,6 +442,13 @@ ok   insertion.221      221 counts by insertion, formula and oracle agree
 ok   printed.sequences  sequences quoted in full match formula and oracle
 verify identities: 12/12 checks passed (words<=4, paths<=7, partitions<=7)
 """
+
+
+def test_verify_default_output(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--n", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
+    assert out.splitlines()[-1].startswith("verify all: 28/28 checks passed")
 
 
 def test_verify_times_each_check_on_stderr(capsys):

@@ -17,14 +17,12 @@ F_COEFFS = (1, 0, 1, 1, 3, 7, 21, 67, 237, 907)
 
 def test_named_sequences():
     for n in range(11):
-        assert counting.named_sequence("catalan", n) == CATALAN[n]
-        assert counting.named_sequence("motzkin", n) == MOTZKIN[n]
-        assert counting.named_sequence("bell", n) == BELL[n]
-        assert counting.named_sequence("fibonacci", n) == FIBONACCI[n]
-    assert counting.named_sequence("stirling2", 4, 2) == 7
-    assert counting.named_sequence("fubini", 3) == 13
-    with pytest.raises(ValueError):
-        counting.named_sequence("lucas", 3)
+        assert counting.catalan(n) == CATALAN[n]
+        assert counting.motzkin(n) == MOTZKIN[n]
+        assert counting.bell(n) == BELL[n]
+        assert counting.fibonacci(n) == FIBONACCI[n]
+    assert counting.stirling2(4, 2) == 7
+    assert counting.fubini(3) == 13
 
 
 def test_stirling_row():
@@ -71,15 +69,13 @@ def test_table2_pins():
 
 def test_count_table_serializations():
     table = counting.formula_table("312", "modasc", 4)
-    assert table.value(3) == 5
+    assert table.values[2] == (3, 5)
     assert table.offset == 1
     assert table.to_bfile() == "1 1\n2 2\n3 5\n4 14\n"
     assert table.to_csv() == "n,count\n1,1\n2,2\n3,5\n4,14\n"
     obj = table.to_json_obj()
     assert obj == {"label": "312-modasc", "offset": 1, "values": [1, 2, 5, 14]}
     json.dumps(obj)  # stays serializable
-    with pytest.raises(KeyError):
-        table.value(9)
 
 
 def test_empty_table():

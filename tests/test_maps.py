@@ -83,20 +83,11 @@ def test_partition_encoding_roundtrip():
             assert maps.partition_to_modasc122(beta) == x
 
 
-def test_partition_text_forms():
-    beta = ((1, 6, 7), (2,), (3, 5, 8, 9), (4,))
-    text = maps.format_partition(beta)
-    assert text == "{1,6,7}{2}{3,5,8,9}{4}"
-    assert maps.parse_partition(text) == beta
-
-
 def test_claesson_worked_example():
     beta = ((1, 3, 6), (2, 7), (4,), (5, 8, 9))
     p = maps.claesson(beta)
     assert p == (3, 6, 1, 7, 2, 4, 8, 9, 5)
     assert maps.claesson_inverse(p) == beta
-    assert maps.format_standard_rep(beta) == "361-72-4-895"
-    assert maps.parse_standard_rep("361-72-4-895") == beta
 
 
 def test_claesson_singletons():

@@ -54,13 +54,12 @@ def test_generation_is_sorted_u_before_d():
 
 def test_decompose_returns():
     f = paths.decompose_returns("udud")
-    assert f.factors == ("", "")
-    assert f.k == 2
-    assert paths.assemble_factors(f.factors) == "udud"
-    g = paths.decompose_returns("uuddud")
-    assert g.factors == ("ud", "")
+    assert f == ("", "")
+    assert len(f) == 2
+    assert paths.assemble_factors(f) == "udud"
+    assert paths.decompose_returns("uuddud") == ("ud", "")
     long = "uuududduuudddd" + "uududd" + "uuuddudd"
-    assert tuple(len(q) // 2 + 1 for q in paths.decompose_returns(long).factors) == (7, 3, 4)
+    assert tuple(len(q) // 2 + 1 for q in paths.decompose_returns(long)) == (7, 3, 4)
     with pytest.raises(ValueError):
         paths.decompose_returns("")
     with pytest.raises(ValueError):
@@ -70,6 +69,6 @@ def test_decompose_returns():
 def test_interior_factors_never_empty():
     for n in range(2, 8):
         for p in paths.generate_dudu_avoiders(n):
-            fs = paths.decompose_returns(p).factors
+            fs = paths.decompose_returns(p)
             assert all(fs[i] for i in range(1, len(fs) - 1))
             assert paths.assemble_factors(fs) == p

@@ -1,6 +1,6 @@
 import pytest
 
-from modasc.series import IntSeries, geometric
+from modasc.series import IntSeries
 
 
 def test_construction_and_access():
@@ -24,11 +24,10 @@ def test_basic_arithmetic():
 
 
 def test_geometric_series():
+    one = IntSeries.one(8)
     t = IntSeries.t(8)
-    g = geometric(t)
-    assert g.coeffs == (1,) * 9
-    g2 = geometric(t * 2)
-    assert g2.coeffs == tuple(2 ** n for n in range(9))
+    assert one.divide(one - t).coeffs == (1,) * 9
+    assert one.divide(one - t * 2).coeffs == tuple(2 ** n for n in range(9))
 
 
 def test_divide_exact():
@@ -55,7 +54,7 @@ def test_compose():
     t = IntSeries.t(8)
     inner = t.divide(one - t)  # t + t^2 + t^3 + ...
     # substituting into 1/(1-t) gives 1/(1-2t) shifted: coefficients 2^(n-1)
-    outer = geometric(t)
+    outer = one.divide(one - t)
     s = outer.compose(inner)
     assert s.coeffs == (1,) + tuple(2 ** (n - 1) for n in range(1, 9))
     with pytest.raises(ValueError):

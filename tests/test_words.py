@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import pathlib
 import random
 from collections import Counter
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
+import modasc
 from modasc import cli, patterns, words
 from modasc.counting import binomial_transform_count, fubini
 from modasc.series import IntSeries
@@ -224,10 +227,12 @@ def test_repeated_count_searches_nothing(monkeypatch):
         assert patterns.count_avoiders(n, [(2, 1, 3, 2)], cls) == first[n]
 
 
-def test_iter_sorted_is_the_sorted_level():
+def test_generated_levels_are_the_sorted_levels():
     for n in range(9):
-        for prim in (False, True):
-            assert list(words.iter_sorted(n, prim)) == sorted(words._level(n, prim))
+        for prim, generate in ((False, words.generate_modasc), (True, words.generate_prim)):
+            level = sorted(words._level(n, prim))
+            assert words.sorted_keys(n, prim) == [bytes(w) for w in level]
+            assert generate(n) == level
 
 
 @pytest.mark.parametrize("prim", [False, True])
@@ -259,19 +264,24 @@ def test_sorted_children_matches_children(prim):
             ), (n, prim, bads[:3])
 
 
-def test_iter_sorted_rejects_negative_length():
+def test_sorted_levels_reject_negative_length():
+    for sort in (words.generate_modasc, words.generate_prim):
+        with pytest.raises(ValueError):
+            sort(-1)
     for prim in (False, True):
         with pytest.raises(ValueError):
-            words.iter_sorted(-1, prim)
+            words.sorted_keys(-1, prim)
 
 
 def test_sorted_keys_reject_letters_beyond_a_byte():
     words._level.cache_clear()
     patterns._avoider_level.cache_clear()
+    for sort in (words.generate_modasc, words.generate_prim):
+        with pytest.raises(ValueError):
+            sort(words.KEY_CAP + 1)
     for prim in (False, True):
-        for sort in (words.sorted_keys, words.iter_sorted):
-            with pytest.raises(ValueError):
-                sort(words.KEY_CAP + 1, prim)
+        with pytest.raises(ValueError):
+            words.sorted_keys(words.KEY_CAP + 1, prim)
     with pytest.raises(ValueError):
         patterns.sorted_avoider_keys(words.KEY_CAP + 1, [(2, 3, 2, 1)])
     assert words._level.cache_info().currsize == 0
@@ -296,6 +306,18 @@ def test_generate_caches_levels_below_n(capsys, cls):
     assert info.hits + info.misses > 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == words.count_level(9, cls == "prim")
+
+
+def test_traced_caches_exist():
+    # The benchmark reads the counters of these caches; one that is gone
+    # reads null there, so its loss must fail here first.
+    path = pathlib.Path(__file__).parents[1] / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in tracer.CACHES:
+        cache = getattr(getattr(modasc, module), name)
+        assert callable(cache.cache_info), (module, name)
 
 
 def test_generate_modasc_order():
