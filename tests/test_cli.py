@@ -482,3 +482,21 @@ def test_experiment_211_vs_1223(capsys):
     assert code == 0
     assert out.splitlines()[-1].endswith("agree on n<=10")
     assert err == ""
+
+
+EXPERIMENT_SHA256 = {
+    ("modasc122-vs-211", "0"): "64ca9e96d7cd47ef6eb899ceb5d1c8acf7562ce351638972d821867fe3d4fa83",
+    ("modasc122-vs-211", "1"): "ff0c1d72b94b754417dd6cfc31c439dd5c3753cbaa0ac8eb9039e240fb8772be",
+    ("modasc122-vs-211", "9"): "c2877b552c7ecc6ab01b72c0268c8f0a4637d46cb202896524024739136ea5bf",
+    ("modasc211-vs-1223", "0"): "190a77bbefb971327bffc0bb28955fac216e1efd975896ac0b6b34f9291f06c8",
+    ("modasc211-vs-1223", "1"): "b59d0f383dfcde89c8705fdeaaa1dbcbb3aa3142d9ba79c7f29ae89529d71263",
+    ("modasc211-vs-1223", "9"): "475a5b290033e83a190c69c5ca6006d45641c3a16fc05cff2d3a79e4f591f037",
+}
+
+
+@pytest.mark.parametrize("check, order", sorted(EXPERIMENT_SHA256))
+def test_experiment_output_is_pinned(capsys, check, order):
+    code, out, err = run(capsys, ["experiment", "--check", check, "--order", order])
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPERIMENT_SHA256[(check, order)]
