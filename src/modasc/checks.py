@@ -3,7 +3,10 @@
 Each check replays one statement of the theory at desk scale and
 returns None on success or a short witness string on failure.  Suites
 run in declaration order so the first failure is reproducible.
-`table_rows` replays the numeric tables of `counting` against the oracle.
+A check that compares counts only hands its routes, lists of counts by
+length, to `agree`, whose witness reads "n=N: route value, ...".
+`table_rows` replays the numeric tables of `counting` against the oracle
+and keeps its own row text, which `table` prints.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from . import counting, maps, paths, patterns, words
 from .series import IntSeries
@@ -181,7 +184,7 @@ def check_partition_122(caps: Caps) -> str | None:
 
 
 def check_dyck_312(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words + 1, caps.paths + 1) + 1):
+    for n in range(1, min(caps.words, caps.paths + 1) + 1):
         avs = patterns.avoiders(n, ((3, 1, 2),), "prim")
         expected = paths.generate_dudu_avoiders(n - 1)
         image = set()
@@ -232,10 +235,9 @@ def check_claesson(caps: Caps) -> str | None:
 
 
 def check_prim_counts_omega(caps: Caps) -> str | None:
-    for n in range(caps.listed + 1):
-        if words.count_level(n, True) != len(patterns.generate_omega(n)):
-            return f"|Prim_n| != |Omega_n| at n={n}"
-    return None
+    lengths = range(caps.listed + 1)
+    return agree(lengths, primitive=[words.count_level(n, True) for n in lengths],
+                 omega=[len(patterns.generate_omega(n)) for n in lengths])
 
 
 def check_chain_construction(caps: Caps) -> str | None:
@@ -359,99 +361,61 @@ def check_series_f(caps: Caps) -> str | None:
 
 def check_series_prim122(caps: Caps) -> str | None:
     f = counting.special_series("F", SERIES_ORDER)
-    one = IntSeries.one(SERIES_ORDER)
-    prim = counting.special_series("PrimOGF122", SERIES_ORDER)
-    if prim != (one + IntSeries.t(SERIES_ORDER)) * f:
-        return "PrimOGF122 != (1+t) F"
-    for n in range(1, SERIES_ORDER + 1):
-        if prim[n] != counting.closed_counts("122", "prim", n):
-            return f"series and formula differ at n={n}"
-    oracle = patterns.count_avoiders_upto(caps.counted, ((1, 2, 2),), "prim")
-    for n in range(1, caps.counted + 1):
-        if prim[n] != oracle[n]:
-            return f"series and oracle differ at n={n}"
-    return None
+    one_plus_t = IntSeries.one(SERIES_ORDER) + IntSeries.t(SERIES_ORDER)
+    return agree(range(SERIES_ORDER + 1), series=_series("PrimOGF122", SERIES_ORDER),
+                 product=(one_plus_t * f).coeffs, formula=_formula("122", "prim", SERIES_ORDER),
+                 oracle=_oracle("122", "prim", caps.counted))
 
 
 def check_series_modasc122(caps: Caps) -> str | None:
-    s = counting.special_series("ModascOGF122", SERIES_ORDER)
-    for n in range(1, SERIES_ORDER + 1):
-        if s[n] != counting.closed_counts("122", "modasc", n):
-            return f"series and power sum differ at n={n}"
-    oracle = patterns.count_avoiders_upto(caps.words, ((1, 2, 2),), "modasc")
-    for n in range(1, caps.words + 1):
-        if s[n] != oracle[n]:
-            return f"series and oracle differ at n={n}"
-    return None
+    return agree(range(1, SERIES_ORDER + 1), series=_series("ModascOGF122", SERIES_ORDER),
+                 power_sum=_formula("122", "modasc", SERIES_ORDER),
+                 oracle=_oracle("122", "modasc", caps.words))
 
 
 def check_series_g(caps: Caps) -> str | None:
-    g = counting.special_series("G", SERIES_ORDER)
-    oracle = patterns.count_avoiders_upto(caps.counted, ((1, 2, 2),), "prim")
-    for n in range(caps.counted):
-        if g[n] != oracle[n + 1]:
-            return f"[t^{n}]G differs from the count at length {n + 1}"
-    return None
+    return agree(range(caps.counted), G=_series("G", SERIES_ORDER),
+                 oracle_at_next=_oracle("122", "prim", caps.counted)[1:])
 
 
 def check_transform_agreement(caps: Caps) -> str | None:
+    lengths = range(1, SERIES_ORDER + 1)
     for text in sorted({p for row in counting.TABLE1 for p in row.patterns}):
-        try:
-            prim_vals = {
-                k: counting.closed_counts(text, "prim", k)
-                for k in range(SERIES_ORDER + 1)
-            }
-        except counting.NoClosedFormError:
+        if not counting.has_closed_form(text, "prim"):
             continue
-        series = IntSeries(
-            [prim_vals[k] for k in range(SERIES_ORDER + 1)], SERIES_ORDER
-        )
-        subst = counting.ogf_substitute(series, SERIES_ORDER)
-        for n in range(1, SERIES_ORDER + 1):
-            lhs = counting.binomial_transform_count(prim_vals, n)
-            if subst[n] != lhs:
-                return f"substitution != transform for {text} at n={n}"
-            if counting.is_primitive_pattern(text):
-                if lhs != counting.closed_counts(text, "modasc", n):
-                    return f"transform misses the class count for {text} at n={n}"
+        prim = _formula(text, "prim", SERIES_ORDER)
+        by_length = dict(enumerate(prim))
+        routes = {
+            "substitution": counting.ogf_substitute(IntSeries(prim), SERIES_ORDER).coeffs,
+            # the transform starts at length 1; length 0 is the empty word
+            "transform": [1] + [counting.binomial_transform_count(by_length, n) for n in lengths],
+        }
+        if counting.is_primitive_pattern(text):
+            routes["formula"] = _formula(text, "modasc", SERIES_ORDER)
+        witness = agree(lengths, **routes)
+        if witness:
+            return f"{witness} for {text}"
     return None
 
 
 def check_series_d(caps: Caps) -> str | None:
-    d = counting.special_series("D", max(SERIES_ORDER, caps.paths))
-    for n in range(caps.paths + 1):
-        generated = len(paths.generate_dudu_avoiders(n))
-        if d[n] != generated:
-            return f"[t^{n}]D != generated path count {generated}"
-    for n in range(max(SERIES_ORDER, caps.paths) + 1):
-        if d[n] != counting.dudu_count(n):
-            return f"[t^{n}]D != coefficient sum"
-    return None
+    order = max(SERIES_ORDER, caps.paths)
+    return agree(range(order + 1), series=_series("D", order),
+                 coefficient_sum=[counting.dudu_count(n) for n in range(order + 1)],
+                 generated=[len(paths.generate_dudu_avoiders(n)) for n in range(caps.paths + 1)])
 
 
 def check_series_modasc312(caps: Caps) -> str | None:
-    s = counting.special_series("Modasc312", SERIES_ORDER)
-    for n in range(1, SERIES_ORDER + 1):
-        if s[n] != counting.closed_counts("312", "modasc", n):
-            return f"series and formula differ at n={n}"
-    offset, printed = counting.PRINTED_SEQUENCES[("312", "modasc")]
-    for i, v in enumerate(printed):
-        n = offset + i
-        if n <= SERIES_ORDER and s[n] != v:
-            return f"series misses the quoted value at n={n}"
-    oracle = patterns.count_avoiders_upto(caps.words, ((3, 1, 2),), "modasc")
-    for n in range(1, caps.words + 1):
-        if s[n] != oracle[n]:
-            return f"series and oracle differ at n={n}"
-    return None
+    # quoted from length 0; a shifted quote would disagree, not pass
+    _, quoted = counting.PRINTED_SEQUENCES[("312", "modasc")]
+    return agree(range(1, SERIES_ORDER + 1), series=_series("Modasc312", SERIES_ORDER),
+                 formula=_formula("312", "modasc", SERIES_ORDER), quoted=quoted,
+                 oracle=_oracle("312", "modasc", caps.words))
 
 
 def check_series_motzkin(caps: Caps) -> str | None:
-    m = counting.special_series("Motzkin_eq", SERIES_ORDER)
-    for n in range(SERIES_ORDER + 1):
-        if m[n] != counting.motzkin(n):
-            return f"fixed point differs from the recurrence at n={n}"
-    return None
+    return agree(range(SERIES_ORDER + 1), fixed_point=_series("Motzkin_eq", SERIES_ORDER),
+                 recurrence=[counting.motzkin(n) for n in range(SERIES_ORDER + 1)])
 
 
 def check_stirling_identity(caps: Caps) -> str | None:
@@ -484,13 +448,11 @@ def check_ascent_laws_2321(caps: Caps) -> str | None:
 
 
 def check_insertion_221(caps: Caps) -> str | None:
-    oracle = patterns.count_avoiders_upto(caps.words, ((2, 2, 1),), "modasc")
-    for n in range(1, caps.words + 1):
-        by_sites = counting.modasc221_by_insertion(n)
-        formula = counting.closed_counts("221", "modasc", n)
-        if not by_sites == formula == oracle[n]:
-            return f"n={n}: insertion {by_sites}, formula {formula}, oracle {oracle[n]}"
-    return None
+    lengths = range(1, caps.words + 1)
+    # insertion starts at length 1; length 0 is the empty word
+    return agree(lengths, insertion=[1] + [counting.modasc221_by_insertion(n) for n in lengths],
+                 formula=_formula("221", "modasc", caps.words),
+                 oracle=_oracle("221", "modasc", caps.words))
 
 
 def check_printed_sequences(caps: Caps) -> str | None:
@@ -515,6 +477,32 @@ class TableRow(NamedTuple):
 
 def _oracle(text: str, cls: str, top: int) -> list[int]:
     return patterns.count_avoiders_upto(top, (patterns.parse_pattern(text),), cls)
+
+
+def _formula(text: str, cls: str, top: int) -> list[int]:
+    return [counting.closed_counts(text, cls, n) for n in range(top + 1)]
+
+
+def _series(name: str, order: int) -> tuple[int, ...]:
+    return counting.special_series(name, order).coeffs
+
+
+def agree(lengths: range, **routes: Sequence[int]) -> str | None:
+    """None if, at every n in `lengths`, the routes that reach n (each
+    lists counts by length from 0) give one count; else a witness for the
+    first n where they differ.  Fewer than two routes at some n is a
+    ValueError, so that no check passes by comparing nothing.
+
+    >>> agree(range(1, 4), series=[1, 1, 2, 5], oracle=[1, 1, 2, 4, 14])
+    'n=3: series 5, oracle 4'
+    """
+    for n in lengths:
+        reached = {name: route[n] for name, route in routes.items() if n < len(route)}
+        if len(reached) < 2:
+            raise ValueError(f"fewer than two routes reach n={n}")
+        if len(set(reached.values())) > 1:
+            return f"n={n}: " + ", ".join(f"{name} {c}" for name, c in reached.items())
+    return None
 
 
 def _shown(counts) -> str:

@@ -249,41 +249,25 @@ def cmd_experiment(args) -> int:
         # Tries the guessed relation a122 = (1-t) * a211 coefficientwise,
         # and the partial-sum variant a122(n) = sum of a211(0..n-1).
         a122, a211 = counts("122"), counts("211")
+        deltas = [a - b for a, b in zip(a211, [0] + a211)]
+        # the empty sum at n = 0 is taken as 1, the count of the empty word
+        psums = [1] + list(itertools.accumulate(a211))[:-1]
         print("n modasc(122) modasc(211) a211(n)-a211(n-1) partial_sum_a211")
-        product_holds = sums_hold = True
-        running = 0
-        for n in range(n_max + 1):
-            delta = a211[n] - (a211[n - 1] if n else 0)
-            psum = running if n else 1
-            running += a211[n]
-            product_holds = product_holds and a122[n] == delta
-            sums_hold = sums_hold and a122[n] == psum
-            print(f"{n} {a122[n]} {a211[n]} {delta} {psum}")
+        for row in zip(range(n_max + 1), a122, a211, deltas, psums):
+            print(*row)
         print(
             "experiment modasc122-vs-211 on n<="
             f"{n_max}: a122(n) = a211(n) - a211(n-1) "
-            f"{'holds' if product_holds else 'fails'}; "
+            f"{'holds' if a122 == deltas else 'fails'}; "
             "a122(n) = sum of a211(k) for k<n "
-            f"{'holds' if sums_hold else 'fails'}"
+            f"{'holds' if a122 == psums else 'fails'}"
         )
     else:
-        rows = {
-            (text, cls): counts(text, cls)
-            for text in ("211", "1223")
-            for cls in ("modasc", "prim")
-        }
+        rows = [counts(text, cls) for cls in ("modasc", "prim") for text in ("211", "1223")]
         print("n modasc(211) modasc(1223) prim(211) prim(1223)")
-        agree = True
-        for n in range(n_max + 1):
-            vals = [
-                rows[("211", "modasc")][n],
-                rows[("1223", "modasc")][n],
-                rows[("211", "prim")][n],
-                rows[("1223", "prim")][n],
-            ]
-            agree = agree and vals[0] == vals[1] and vals[2] == vals[3]
-            print(n, *vals)
-        verdict = "agree" if agree else "differ"
+        for row in zip(range(n_max + 1), *rows):
+            print(*row)
+        verdict = "agree" if rows[0] == rows[1] and rows[2] == rows[3] else "differ"
         print(
             f"experiment modasc211-vs-1223: the paired counts {verdict} "
             f"on n<={n_max}"

@@ -1,6 +1,6 @@
 import pytest
 
-from modasc import checks
+from modasc import checks, counting, patterns, words
 
 SMALL = checks.Caps(words=6)
 
@@ -50,3 +50,68 @@ def test_caps_derive_paths_and_partitions():
     assert (checks.Caps(words=10).paths, checks.Caps(words=10).partitions) == (12, 12)
     with pytest.raises(TypeError):
         checks.Caps(words=6, paths=8)
+
+
+@pytest.mark.parametrize("top", [0, 6, 8])
+def test_dyck_312_stops_at_the_word_cap(monkeypatch, top):
+    asked = []
+    avoiders = patterns.avoiders
+
+    def spy(n, pats, cls):
+        asked.append(n)
+        return avoiders(n, pats, cls)
+
+    monkeypatch.setattr(patterns, "avoiders", spy)
+    caps = checks.Caps(top)
+    assert checks.check_dyck_312(caps) is None
+    assert max(asked, default=0) == caps.words
+
+
+def test_agree_needs_two_routes_at_every_length():
+    assert checks.agree(range(3), series=[1, 1, 2], oracle=[1, 1, 2, 5]) is None
+    with pytest.raises(ValueError, match="n=2"):
+        checks.agree(range(3), series=[1, 1, 2], oracle=[1, 1])
+
+
+COUNT_CHECKS = {
+    tag: fn
+    for tag, _, fn in checks.SUITES["all"]
+    if tag in {
+        "omega.size", "series.prim122", "series.modasc122", "series.G", "transform.eq",
+        "series.D", "series.modasc312", "series.motzkin", "insertion.221",
+    }
+}
+
+
+# (where, name, the arguments after n, n, the checks that must fail): the
+# route `where[name]` or `where.name` is made one too large at n alone.
+ROUTES_OFF_BY_ONE = [
+    (counting.FAMILIES, "sum_k_pow", (), 15, {"series.modasc122"}),
+    (counting.FAMILIES, "prim122", (), 15, {"series.prim122", "transform.eq"}),
+    (counting.FAMILIES, "modasc221", (), 5, {"insertion.221"}),
+    (counting.FAMILIES, "modasc312", (), 15, {"series.modasc312", "transform.eq"}),
+    (counting, "dudu_count", (), 20, {"series.D"}),
+    (counting, "motzkin", (), 20, {"series.motzkin"}),
+    (words, "count_level", (True,), 5, {"omega.size"}),
+]
+
+
+@pytest.mark.parametrize(
+    "where, name, extra, n, failing", ROUTES_OFF_BY_ONE, ids=[r[1] for r in ROUTES_OFF_BY_ONE]
+)
+def test_count_checks_catch_one_route_off_by_one(monkeypatch, where, name, extra, n, failing):
+    if isinstance(where, dict):
+        route = where[name]
+        put = monkeypatch.setitem
+    else:
+        route = getattr(where, name)
+        put = monkeypatch.setattr
+    put(where, name, lambda m, *rest: route(m, *rest) + (m == n and rest == extra))
+    assert len(COUNT_CHECKS) == 9
+    witnesses = {tag: fn(SMALL) for tag, fn in COUNT_CHECKS.items()}
+    assert {tag for tag, w in witnesses.items() if w is not None} == failing
+    for tag in failing:
+        head, _, named = witnesses[tag].partition(": ")
+        counts = {int(part.rsplit(" ", 1)[1]) for part in named.split(" for ")[0].split(", ")}
+        assert head == f"n={n}", tag
+        assert len(counts) == 2 and max(counts) - min(counts) == 1, witnesses[tag]
