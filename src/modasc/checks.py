@@ -11,8 +11,8 @@ and keeps its own row text, which `table` prints.
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
@@ -69,20 +69,6 @@ def _all_partitions(n: int):
         blocks.pop()
 
     yield from place(1)
-
-
-def _perms_avoiding_32_1(n: int) -> list[tuple[int, ...]]:
-    """Sym_n(32-1) by its generating tree: a child bumps the old values
-    >= a and appends a, for each a above every descent bottom (a lower a
-    would complete an occurrence)."""
-    level: list[tuple[int, ...]] = [()]
-    for size in range(1, n + 1):
-        level = [
-            tuple(v + 1 if v >= a else v for v in p) + (a,)
-            for p in level
-            for a in range(max((b for t, b in zip(p, p[1:]) if t > b), default=0) + 1, size + 1)
-        ]
-    return level
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +188,7 @@ def check_dyck_312(caps: Caps) -> str | None:
 
 def check_claesson(caps: Caps) -> str | None:
     for n in range(1, caps.listed + 1):
-        perms = _perms_avoiding_32_1(n)
+        perms = patterns.grow_perms(n, "32-1")
         if len(perms) != counting.bell(n):
             return f"|Sym_n(32-1)| != Bell at n={n}"
         image = set()
@@ -220,10 +206,7 @@ def check_claesson(caps: Caps) -> str | None:
             image.add(p)
         if image != set(perms):
             return f"image mismatch at n={n}"
-        hist: dict[int, int] = {}
-        for p in perms:
-            r = len(words.statistics(p).rlmin)
-            hist[r] = hist.get(r, 0) + 1
+        hist = Counter(len(words.statistics(p).rlmin) for p in perms)
         for j, cnt in hist.items():
             if cnt != counting.stirling2(n, j):
                 return f"right-to-left minima law failed at n={n}, j={j}"
@@ -248,37 +231,26 @@ def check_chain_construction(caps: Caps) -> str | None:
     return None
 
 
-def check_pattern_transport(caps: Caps) -> str | None:
-    for y in ((2, 1, 3), (2, 3, 1)):
-        for n in range(1, caps.listed + 1):
-            avs = patterns.avoiders(n, (y,), "prim")
-            image = {maps.standardize(x) for x in avs}
-            omega_side = {
-                p
-                for p in patterns.generate_omega(n)
-                if not patterns.contains(p, y)
-            }
-            if image != omega_side:
-                return f"transport of {y} fails at n={n}"
-            if len(avs) != counting.motzkin(n - 1):
-                return f"|Prim_n({y})| != Motzkin at n={n}"
-    return None
+def _transport(
+    ys: tuple[words.Word, ...], family: str, count: Callable[[int], int]
+) -> Callable[[Caps], str | None]:
+    """The check that standardization maps Prim_n(y) onto the omega
+    permutations that avoid y, for each y in `ys`, and that |Prim_n(y)| is
+    `count(n)`, the family's term named in the witness.  `count` reads its
+    family from `counting` when called, so a traced or patched one shows."""
 
+    def check(caps: Caps) -> str | None:
+        for y in ys:
+            for n in range(1, caps.listed + 1):
+                avs = patterns.avoiders(n, (y,), "prim")
+                image = {maps.standardize(x) for x in avs}
+                if image != {p for p in patterns.generate_omega(n) if not patterns.contains(p, y)}:
+                    return f"transport of {y} fails at n={n}"
+                if len(avs) != count(n):
+                    return f"|Prim_n({y})| != {family} at n={n}"
+        return None
 
-def check_transport_321(caps: Caps) -> str | None:
-    for n in range(1, caps.listed + 1):
-        avs = patterns.avoiders(n, ((3, 2, 1),), "prim")
-        image = {maps.standardize(x) for x in avs}
-        direct = {
-            (1,) + tuple(v + 1 for v in q)
-            for q in itertools.permutations(range(1, n))
-            if not patterns.contains(q, (3, 2, 1))
-        }
-        if image != direct:
-            return f"image is not 1 (+) Sym(321) at n={n}"
-        if len(avs) != counting.catalan(n - 1):
-            return f"|Prim_n(321)| != Catalan shift at n={n}"
-    return None
+    return check
 
 
 def check_primitive_statistics(caps: Caps) -> str | None:
@@ -360,7 +332,7 @@ def check_series_f(caps: Caps) -> str | None:
 
 
 def check_series_prim122(caps: Caps) -> str | None:
-    f = counting.special_series("F", SERIES_ORDER)
+    f = counting.series_f_second_form(SERIES_ORDER)
     one_plus_t = IntSeries.one(SERIES_ORDER) + IntSeries.t(SERIES_ORDER)
     return agree(range(SERIES_ORDER + 1), series=_series("PrimOGF122", SERIES_ORDER),
                  product=(one_plus_t * f).coeffs, formula=_formula("122", "prim", SERIES_ORDER),
@@ -581,8 +553,12 @@ SUITES: dict[str, tuple[Check, ...]] = {
     "transport": (
         ("omega.size", "primitive words and the omega class are equinumerous", check_prim_counts_omega),
         ("omega.chains", "the chain and falling constructions of the inverse agree", check_chain_construction),
-        ("transport.213-231", "avoidance of 213 and 231 transports along standardization", check_pattern_transport),
-        ("transport.321", "321-avoiding primitives standardize onto 1 followed by 321-avoiders", check_transport_321),
+        ("transport.213-231", "avoidance of 213 and 231 transports along standardization",
+         _transport(((2, 1, 3), (2, 3, 1)), "Motzkin", lambda n: counting.motzkin(n - 1))),
+        # An omega occurrence p_i > p_{i+1} followed later by p_{i+1} - 1 is
+        # a 321, so the image Ω_n ∩ Av(321) is 1 ⊕ Sym_{n-1}(321).
+        ("transport.321", "321-avoiding primitives standardize onto 1 followed by 321-avoiders",
+         _transport(((3, 2, 1),), "Catalan shift", lambda n: counting.catalan(n - 1))),
         ("prim.stats", "on primitive words weak and strict extrema coincide", check_primitive_statistics),
         ("std.stats", "standardization preserves descents and weak minima positions", check_standardize_statistics),
     ),

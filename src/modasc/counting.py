@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 from . import patterns as _patterns
 from .series import IntSeries
-from .words import Word, statistics, is_prim, has_flat_steps, parse_word
+from .words import Word, statistics, is_prim, has_flat_steps, iter_prim, parse_word
 
 #: Largest n for which set partitions are enumerated explicitly.
 PARTITION_CAP = 12
@@ -547,12 +547,13 @@ def active_sites_221(w: Word) -> frozenset[int]:
 
 def modasc221_by_insertion(n: int) -> int:
     """Count 221-avoiders of length n by choosing a primitive core and a
-    multiset of flat-step insertions at its active sites."""
+    multiset of flat-step insertions at its active sites.  The cores are
+    filtered by `patterns.contains`, not read from the oracle's levels."""
     if n < 1:
         raise ValueError("length must be at least 1")
     total = 0
     for k in range(1, n + 1):
-        for w in _patterns.avoiders(k, ((2, 2, 1),), "prim"):
-            i = len(active_sites_221(w))
-            total += comb(n - 1 - k + i, n - k)
+        for w in iter_prim(k):
+            if not _patterns.contains(w, (2, 2, 1)):
+                total += comb(n - 1 - k + len(active_sites_221(w)), n - k)
     return total

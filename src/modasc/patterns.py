@@ -13,6 +13,15 @@ supported by name:
 * ``32-1``   - an adjacent descent followed, at least two positions
   later, by a value below both legs (p_i > p_{i+1} > p_k).
 
+The omega class (permutations that start with 1 and avoid omega, the
+bivincular class of Bousquet-Mélou, Claesson, Dukes and Kitaev, "(2+2)-free
+posets, ascent sequences and pattern avoiding permutations", 2010) and
+Sym(32-1) (Claesson, "Generalized pattern avoidance", 2001) grow on one
+tree (`grow_perms`): a child of p bumps the old values >= a by one and
+appends a, so only occurrences that end with a are new.  For omega, a >= 2
+keeps 1 first and skips p's descent bottoms b (the bumped b + 1 would be a
+descent bottom followed by b); for 32-1, a is above them all.
+
 Avoider levels are the levels of the generating tree of `words` (its
 module docstring states the succession rule) with the letters a pattern
 forbids left out: extending a modified ascent sequence relabels the old
@@ -572,19 +581,32 @@ def in_omega(p: Perm) -> bool:
     return p[0] == 1 and not contains_special(p, "omega")
 
 
+def grow_perms(n: int, name: str) -> list[Perm]:
+    """Level n of the tree of the omega class (`name` "omega") or of
+    Sym(32-1) ("32-1"), by the rule of the module docstring, in tree order.
+
+    >>> grow_perms(3, "omega"), len(grow_perms(4, "32-1"))
+    ([(1, 3, 2), (1, 2, 3)], 15)
+    """
+    level: list[Perm] = [()]
+    for size in range(1, n + 1):
+        grown = []
+        for p in level:
+            bottoms = {b for t, b in zip(p, p[1:]) if t > b}
+            floor = {"omega": 2 if p else 1, "32-1": max(bottoms, default=0) + 1}[name]
+            grown += [tuple(v + (v >= a) for v in p) + (a,)
+                      for a in range(floor, size + 1) if a not in bottoms]
+        level = grown
+    return level
+
+
 @lru_cache(maxsize=None)
 def generate_omega(n: int) -> tuple[Perm, ...]:
-    """All members of the omega class of length n, in lexicographic order."""
-    import itertools
-
-    if n == 0:
-        return ((),)
-    out = []
-    for rest in itertools.permutations(range(2, n + 1)):
-        p = (1,) + rest
-        if not contains_special(p, "omega"):
-            out.append(p)
-    return tuple(out)
+    """All members of the omega class of length n, in lexicographic order:
+    level n of its tree (`grow_perms`), sorted.  A child of p appends a >= 2
+    (1 stays first) that is not a descent bottom of p: a new omega occurrence
+    ends with a, after the descent bottom a + 1 that p's bottom a became."""
+    return tuple(sorted(grow_perms(n, "omega")))
 
 
 def avoidance_witness(

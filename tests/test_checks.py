@@ -1,6 +1,7 @@
 import pytest
 
 from modasc import checks, counting, patterns, words
+from modasc.series import IntSeries
 
 SMALL = checks.Caps(words=6)
 
@@ -115,3 +116,59 @@ def test_count_checks_catch_one_route_off_by_one(monkeypatch, where, name, extra
         counts = {int(part.rsplit(" ", 1)[1]) for part in named.split(" for ")[0].split(", ")}
         assert head == f"n={n}", tag
         assert len(counts) == 2 and max(counts) - min(counts) == 1, witnesses[tag]
+
+
+# (name, n, the checks that must fail, the transport check's witness): the
+# whole suite runs with `counting.<name>` one too large at n alone.
+TRANSPORT_COUNTS_OFF_BY_ONE = [
+    ("catalan", 3, {"transport.321"},
+     ("transport.321", "|Prim_n((3, 2, 1))| != Catalan shift at n=4")),
+    # transform.eq reads motzkin too, through the primitive family of 213,
+    # 231, 1213 and 1234, and compares it with their full-class formula.
+    ("motzkin", 3, {"transport.213-231", "series.motzkin", "transform.eq"},
+     ("transport.213-231", "|Prim_n((2, 1, 3))| != Motzkin at n=4")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, failing, witness", TRANSPORT_COUNTS_OFF_BY_ONE,
+    ids=[r[0] for r in TRANSPORT_COUNTS_OFF_BY_ONE],
+)
+def test_transport_checks_read_their_own_counts(monkeypatch, name, n, failing, witness):
+    counts = [getattr(counting, name)(m) for m in range(checks.SERIES_ORDER + 1)]
+    monkeypatch.setattr(counting, name, lambda m: counts[m] + (m == n))
+    witnesses = {r.tag: r.witness for r in checks.run_suite("all", SMALL) if not r.passed}
+    assert set(witnesses) == failing
+    tag, text = witness
+    assert witnesses[tag] == text
+
+
+def test_second_form_of_f_is_the_product_route(monkeypatch):
+    # series.prim122's product route is (1 + t) times the second form of F,
+    # so a wrong second form fails it as well as series.F.
+    second_form = counting.series_f_second_form
+
+    def off_by_one(order):
+        coeffs = list(second_form(order).coeffs)
+        coeffs[7] += 1
+        return IntSeries(coeffs)
+
+    monkeypatch.setattr(counting, "series_f_second_form", off_by_one)
+    witnesses = {r.tag: r.witness for r in checks.run_suite("identities", SMALL) if not r.passed}
+    assert set(witnesses) == {"series.F", "series.prim122"}
+    assert witnesses["series.prim122"].startswith("n=7: series ")
+
+
+def test_insertion_221_grows_no_avoider_level(monkeypatch):
+    # The oracle route of insertion.221 grows its levels through `_grown`;
+    # the insertion route filters primitive words by `contains` instead.
+    def refuse(*args):
+        raise AssertionError("the insertion route grew an avoider level")
+
+    monkeypatch.setattr(patterns, "_grown", refuse)
+    patterns._avoider_level.cache_clear()
+    patterns._COUNTS.clear()
+    lengths = range(1, 8)
+    assert [counting.modasc221_by_insertion(n) for n in lengths] == [
+        counting.closed_counts("221", "modasc", n) for n in lengths
+    ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from modasc import checks, cli, counting, patterns, words
+from modasc import checks, cli, counting, maps, patterns, words
 
 
 def standardize(values):
@@ -272,14 +272,62 @@ def test_avoider_level_of_no_pattern_is_level(cls):
         ), (cls, n)
 
 
-def _brute_perms_avoiding_32_1(n):
-    return [
-        p
-        for p in itertools.permutations(range(1, n + 1))
-        if not patterns.contains_special(p, "32-1")
-    ]
+def _filtered_perms(n, name):
+    """The permutations of 1..n (for omega, 1 followed by those of 2..n)
+    without the named pattern, in lexicographic order."""
+    if name == "omega":
+        perms = (((1, *rest) for rest in itertools.permutations(range(2, n + 1)))
+                 if n else [()])
+    else:
+        perms = itertools.permutations(range(1, n + 1))
+    return [p for p in perms if not patterns.contains_special(p, name)]
 
 
-def test_32_1_tree_matches_filter():
-    for n in range(9):
-        assert sorted(checks._perms_avoiding_32_1(n)) == _brute_perms_avoiding_32_1(n), n
+@pytest.mark.parametrize("name", ["32-1", "omega"])
+def test_tree_matches_filter(name):
+    for n in range({"32-1": 9, "omega": 10}[name]):
+        want = _filtered_perms(n, name)
+        assert sorted(patterns.grow_perms(n, name)) == want, (name, n)
+        if name == "omega":
+            assert patterns.generate_omega(n) == tuple(want), n
+
+
+def test_omega_321_avoiders_are_1_plus_321_avoiders():
+    # An omega occurrence is a 321, so Ω_n ∩ Av(321) = 1 ⊕ Sym_{n-1}(321),
+    # the image `transport.321` once built from all (n - 1)! permutations.
+    for n in range(1, 9):
+        direct = {
+            (1,) + tuple(v + 1 for v in q)
+            for q in itertools.permutations(range(1, n))
+            if not patterns.contains(q, (3, 2, 1))
+        }
+        omega = {p for p in patterns.generate_omega(n) if not patterns.contains(p, (3, 2, 1))}
+        assert omega == direct, n
+
+
+#: st(Prim_n(y)) = Ω_n ∩ Av(z), as pattern y: z, seen for n <= 8.  The rows
+#: of 3214, 3241, 3421 and 4321 are coincidences seen that far, not
+#: theorems; 121 and 1213 follow from the EQUIVALENCES rows 21 ~ 121 and
+#: 213 ~ 1213, and 11 leaves only the increasing word.
+TRANSPORT_CENSUS = {
+    "1": "1", "12": "12", "21": "21", "213": "213", "231": "231", "321": "321",
+    "3214": "3214", "3241": "3241", "3421": "3421", "4321": "4321",
+    "11": "21", "121": "21", "1213": "213",
+}
+
+
+def _transport_holds(y, z, n):
+    y, z = patterns.parse_pattern(y), patterns.parse_pattern(z)
+    image = {maps.standardize(x) for x in patterns.avoiders(n, (y,), "prim")}
+    return image == {p for p in patterns.generate_omega(n) if not patterns.contains(p, z)}
+
+
+def test_transport_census():
+    for y, z in TRANSPORT_CENSUS.items():
+        for n in range(9):
+            assert _transport_holds(y, z, n), (y, z, n)
+    first_failures = {
+        y: next(n for n in range(9) if not _transport_holds(y, y, n))
+        for y in ("123", "132", "312")
+    }
+    assert first_failures == {"123": 4, "132": 3, "312": 5}
