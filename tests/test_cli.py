@@ -381,6 +381,23 @@ def test_export_bad_labels(capsys):
     assert "PATTERN-modasc or PATTERN-prim" in err
 
 
+EXPORT_SHA256 = {
+    ("312-modasc", "10", "auto", "bfile"):
+        "fb19760be4d0e04e27bec1bc9f6caeb449dc64cdd2d90d27aca7e842bcfdd216",
+    ("211-modasc", "8", "oracle", "json"):
+        "812fd6573f903cc650e805304d0a99fd299bfe44c396c428e1cd9878a08b5367",
+}
+
+
+@pytest.mark.parametrize("label, n, source, fmt", sorted(EXPORT_SHA256))
+def test_export_output_is_pinned(capsys, label, n, source, fmt):
+    argv = ["export", "--label", label, "--n", n, "--source", source, "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[(label, n, source, fmt)]
+
+
 def test_table_small(capsys):
     code, out, _ = run(capsys, ["table", "--n", "4"])
     assert code == 0
