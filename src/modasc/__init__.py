@@ -12,15 +12,14 @@ every closed formula and generating function against brute force.
 """
 
 from .counting import (
-    CountTable,
     NoClosedFormError,
     ascent_distribution,
     binomial_transform_count,
     closed_counts,
-    formula_table,
+    formula_counts,
     has_closed_form,
     ogf_substitute,
-    oracle_table,
+    oracle_counts,
     p_coefficients,
     special_series,
     stirling_identity_check,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsistencyError",
-    "CountTable",
     "IntSeries",
     "NoClosedFormError",
     "ascent_distribution",
@@ -84,7 +82,7 @@ __all__ = [
     "count_avoiders",
     "decompose_returns",
     "format_word",
-    "formula_table",
+    "formula_counts",
     "generate_dudu_avoiders",
     "generate_modasc",
     "generate_prim",
@@ -98,7 +96,7 @@ __all__ = [
     "modasc122_to_partition",
     "ogf_substitute",
     "omega_to_prim",
-    "oracle_table",
+    "oracle_counts",
     "p_coefficients",
     "parse_word",
     "phi_312",

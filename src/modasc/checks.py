@@ -5,6 +5,12 @@ returns None on success or a short witness string on failure.  Suites
 run in declaration order so the first failure is reproducible.
 A check that compares counts only hands its routes, lists of counts by
 length, to `agree`, whose witness reads "n=N: route value, ...".
+A check of a bijection hands its domain, map, inverse and target, by
+length, to `bijects`, whose witness reads "x: message" (the map, its
+inverse on the image of x, or a law checked on the pair raises
+ValueError(message)), "x -> y -> z" (the inverse takes y to z, not x),
+"x, x2 -> y" (two objects share an image), "n=N: y is outside the
+target" or "n=N: t is missed".
 `table_rows` replays the numeric tables of `counting` against the oracle
 and keeps its own row text, which `table` prints.
 """
@@ -14,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from . import counting, maps, paths, patterns, words
 from .series import IntSeries
@@ -52,8 +58,9 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _all_partitions(n: int):
-    """Every set partition of [n], blocks sorted, in DFS order."""
+def _all_partitions(n: int, interval_minima: bool = False):
+    """Every set partition of [n], blocks sorted, in DFS order; with
+    `interval_minima`, only those whose block minima are 1..k."""
     blocks: list[list[int]] = []
 
     def place(i: int):
@@ -64,15 +71,60 @@ def _all_partitions(n: int):
             b.append(i)
             yield from place(i + 1)
             b.pop()
-        blocks.append([i])
-        yield from place(i + 1)
-        blocks.pop()
+        if not interval_minima or len(blocks) == i - 1:
+            blocks.append([i])
+            yield from place(i + 1)
+            blocks.pop()
 
     yield from place(1)
 
 
+def _compositions(n: int):
+    """Every composition of n >= 1, one for each set of cuts at the n - 1 gaps."""
+    for mask in range(2 ** (n - 1)):
+        cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+        yield tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
 # ---------------------------------------------------------------------------
 # bijections
+
+
+def bijects(lengths: range, domain: Callable[[int], Iterable], forward: Callable,
+            inverse: Callable | None = None, target: Callable[[int], Iterable] | None = None) -> str | None:
+    """None if, at every n in `lengths`, `forward` is one to one on
+    `domain(n)`, `inverse` (if given) takes every image back, and the
+    image is `target(n)` (if given); else a witness, in the forms of the
+    module docstring, for the first failure.  A map that raises ValueError
+    is a witness, not a crash.  With an inverse the roundtrip implies
+    injectivity.  Each map is called once on each object.
+
+    >>> bijects(range(4), range, lambda x: x * x % 3)
+    '1, 2 -> 1'
+    >>> bijects(range(4), range, lambda x: x + 1, lambda y: y - 1, lambda n: range(1, n + 2))
+    'n=0: 1 is missed'
+    """
+    for n in lengths:
+        image = {}  # image -> preimage, kept only where no inverse rules out a shared image
+        for x in domain(n):
+            try:
+                y = forward(x)
+                back = x if inverse is None else inverse(y)
+            except ValueError as exc:
+                return f"{x}: {exc}"
+            if back != x:
+                return f"{x} -> {y} -> {back}"
+            if y in image:
+                return f"{image[y]}, {x} -> {y}"
+            image[y] = x if inverse is None else None
+        if target is not None:
+            wanted = set(target(n))
+            outside = [y for y in image if y not in wanted]
+            if outside:
+                return f"n={n}: {outside[0]} is outside the target"
+            if len(image) != len(wanted):
+                return f"n={n}: {min(wanted - image.keys())} is missed"
+    return None
 
 
 def check_flat_roundtrip(caps: Caps) -> str | None:
@@ -89,125 +141,65 @@ def check_flat_roundtrip(caps: Caps) -> str | None:
 
 
 def check_standardize_bijection(caps: Caps) -> str | None:
-    for n in range(caps.listed + 1):
-        image = []
-        for x in words.iter_prim(n):
-            p = maps.standardize(x)
-            if not patterns.in_omega(p):
-                return f"st({x}) = {p} leaves the omega class"
-            if maps.omega_to_prim(p) != x:
-                return f"inverse failed at {x}"
-            image.append(p)
-        if len(set(image)) != len(image):
-            return f"not injective at n={n}"
-        if set(image) != set(patterns.generate_omega(n)):
-            return f"image misses the omega class at n={n}"
-    return None
+    return bijects(range(caps.listed + 1), words.iter_prim, maps.standardize,
+                   maps.omega_to_prim, patterns.generate_omega)
 
 
 def check_burge_ascending(caps: Caps) -> str | None:
-    for n in range(caps.listed + 1):
-        image = {maps.burge_fishburn(x, "ascending") for x in words.iter_prim(n)}
-        if image != set(patterns.generate_omega(n)):
-            return f"transpose image differs from the omega class at n={n}"
-    return None
+    return bijects(range(caps.listed + 1), words.iter_prim,
+                   lambda x: maps.burge_fishburn(x, "ascending"), target=patterns.generate_omega)
 
 
 def check_burge_descending(caps: Caps) -> str | None:
-    for n in range(caps.listed + 1):
-        seen = set()
-        for x in words.iter_modasc(n):
-            p = maps.burge_fishburn(x, "descending")
-            if sorted(p) != list(range(1, n + 1)):
-                return f"transpose of {x} is not a permutation"
-            seen.add(p)
-        if len(seen) != words.count_level(n, False):
-            return f"not injective at n={n}"
-    return None
+    def transpose(x: words.Word) -> patterns.Perm:
+        p = maps.burge_fishburn(x, "descending")
+        if sorted(p) != list(range(1, len(x) + 1)):
+            raise ValueError("the transpose is not a permutation")
+        return p
+
+    return bijects(range(caps.listed + 1), words.iter_modasc, transpose)
 
 
 def check_composition_112(caps: Caps) -> str | None:
-    for n in range(1, caps.words + 1):
-        avs = patterns.avoiders(n, ((1, 1, 2),), "modasc")
-        if len(avs) != 2 ** (n - 1):
-            return f"|avoiders| != 2^(n-1) at n={n}"
-        comps = set()
-        for x in avs:
-            c = maps.modasc112_to_composition(x)
-            if sum(c) != n:
-                return f"{x} maps to a non-composition of {n}"
-            if maps.composition_to_modasc112(c) != x:
-                return f"roundtrip failed at {x}"
-            comps.add(c)
-        if len(comps) != len(avs):
-            return f"not injective at n={n}"
-    return None
+    return bijects(range(1, caps.words + 1), lambda n: patterns.avoiders(n, ((1, 1, 2),), "modasc"),
+                   maps.modasc112_to_composition, maps.composition_to_modasc112, _compositions)
 
 
 def check_partition_122(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, caps.partitions) + 1):
-        avs = patterns.avoiders(n, ((1, 2, 2),), "modasc")
-        image = set()
-        for x in avs:
-            beta = maps.modasc122_to_partition(x)
-            k = len(beta)
-            if [b[0] for b in beta] != list(range(1, k + 1)):
-                return f"block minima of {beta} are not an interval"
-            if maps.partition_to_modasc122(beta) != x:
-                return f"roundtrip failed at {x}"
-            image.add(beta)
-        if n <= 10:
-            wanted = {
-                beta
-                for beta in _all_partitions(n)
-                if [b[0] for b in beta] == list(range(1, len(beta) + 1))
-            }
-            if image != wanted:
-                return f"image mismatch against direct enumeration at n={n}"
-        if len(image) != counting.closed_counts("122", "modasc", n):
-            return f"count mismatch at n={n}"
-    return None
+    # the inverse refuses a partition whose block minima are not 1..k
+    return bijects(range(1, min(caps.words, caps.partitions) + 1),
+                   lambda n: patterns.avoiders(n, ((1, 2, 2),), "modasc"), maps.modasc122_to_partition,
+                   maps.partition_to_modasc122, lambda n: _all_partitions(n, interval_minima=True))
 
 
 def check_dyck_312(caps: Caps) -> str | None:
-    for n in range(1, min(caps.words, caps.paths + 1) + 1):
-        avs = patterns.avoiders(n, ((3, 1, 2),), "prim")
-        expected = paths.generate_dudu_avoiders(n - 1)
-        image = set()
-        for x in avs:
-            pth = maps.phi_312(x)
-            if maps.phi_inverse(pth) != x:
-                return f"inverse failed at {x}"
-            image.add(pth)
-        if image != set(expected):
-            return f"path image mismatch at n={n}"
-        if len(image) != len(avs):
-            return f"not injective at n={n}"
-    return None
+    return bijects(range(1, min(caps.words, caps.paths + 1) + 1),
+                   lambda n: patterns.avoiders(n, ((3, 1, 2),), "prim"), maps.phi_312,
+                   maps.phi_inverse, lambda n: paths.generate_dudu_avoiders(n - 1))
 
 
 def check_claesson(caps: Caps) -> str | None:
-    for n in range(1, caps.listed + 1):
-        perms = patterns.grow_perms(n, "32-1")
-        if len(perms) != counting.bell(n):
+    lengths = range(1, caps.listed + 1)
+    rlmin: Counter = Counter()  # images by length and right-to-left minima
+
+    def encode(beta: maps.SetPartition) -> patterns.Perm:
+        p = maps.claesson(beta)
+        st = words.statistics(p)
+        if st.des != sum(len(b) > 1 for b in beta):
+            raise ValueError("descent law failed")
+        rlmin[len(p), len(st.rlmin)] += 1
+        return p
+
+    witness = bijects(lengths, _all_partitions, encode, maps.claesson_inverse,
+                      lambda n: patterns.grow_perms(n, "32-1"))
+    if witness:
+        return witness
+    # the image is all of Sym_n(32-1), so its histogram is the class's
+    for n in lengths:
+        row = [rlmin[n, j] for j in range(n + 1)]
+        if sum(row) != counting.bell(n):
             return f"|Sym_n(32-1)| != Bell at n={n}"
-        image = set()
-        for beta in _all_partitions(n):
-            p = maps.claesson(beta)
-            if patterns.contains_special(p, "32-1"):
-                return f"claesson({beta}) contains 32-1"
-            if maps.claesson_inverse(p) != tuple(
-                sorted((tuple(sorted(b)) for b in beta), key=min)
-            ):
-                return f"inverse failed at {beta}"
-            nonsingle = sum(1 for b in beta if len(b) > 1)
-            if words.statistics(p).des != nonsingle:
-                return f"descent law failed at {beta}"
-            image.add(p)
-        if image != set(perms):
-            return f"image mismatch at n={n}"
-        hist = Counter(len(words.statistics(p).rlmin) for p in perms)
-        for j, cnt in hist.items():
+        for j, cnt in enumerate(row):
             if cnt != counting.stirling2(n, j):
                 return f"right-to-left minima law failed at n={n}, j={j}"
     return None
@@ -325,29 +317,27 @@ SERIES_ORDER = 20
 
 
 def check_series_f(caps: Caps) -> str | None:
-    f = counting.special_series("F", SERIES_ORDER)
-    if f != counting.series_f_second_form(SERIES_ORDER):
-        return "the two forms of F disagree"
-    return None
+    return agree(range(SERIES_ORDER + 1), first_form=_series("F", SERIES_ORDER),
+                 second_form=counting.series_f_second_form(SERIES_ORDER).coeffs)
 
 
 def check_series_prim122(caps: Caps) -> str | None:
     f = counting.series_f_second_form(SERIES_ORDER)
     one_plus_t = IntSeries.one(SERIES_ORDER) + IntSeries.t(SERIES_ORDER)
     return agree(range(SERIES_ORDER + 1), series=_series("PrimOGF122", SERIES_ORDER),
-                 product=(one_plus_t * f).coeffs, formula=_formula("122", "prim", SERIES_ORDER),
-                 oracle=_oracle("122", "prim", caps.counted))
+                 product=(one_plus_t * f).coeffs, formula=counting.formula_counts("122", "prim", SERIES_ORDER),
+                 oracle=counting.oracle_counts("122", "prim", caps.counted))
 
 
 def check_series_modasc122(caps: Caps) -> str | None:
     return agree(range(1, SERIES_ORDER + 1), series=_series("ModascOGF122", SERIES_ORDER),
-                 power_sum=_formula("122", "modasc", SERIES_ORDER),
-                 oracle=_oracle("122", "modasc", caps.words))
+                 power_sum=counting.formula_counts("122", "modasc", SERIES_ORDER),
+                 oracle=counting.oracle_counts("122", "modasc", caps.words))
 
 
 def check_series_g(caps: Caps) -> str | None:
     return agree(range(caps.counted), G=_series("G", SERIES_ORDER),
-                 oracle_at_next=_oracle("122", "prim", caps.counted)[1:])
+                 oracle_at_next=counting.oracle_counts("122", "prim", caps.counted)[1:])
 
 
 def check_transform_agreement(caps: Caps) -> str | None:
@@ -355,7 +345,7 @@ def check_transform_agreement(caps: Caps) -> str | None:
     for text in sorted({p for row in counting.TABLE1 for p in row.patterns}):
         if not counting.has_closed_form(text, "prim"):
             continue
-        prim = _formula(text, "prim", SERIES_ORDER)
+        prim = counting.formula_counts(text, "prim", SERIES_ORDER)
         by_length = dict(enumerate(prim))
         routes = {
             "substitution": counting.ogf_substitute(IntSeries(prim), SERIES_ORDER).coeffs,
@@ -363,7 +353,7 @@ def check_transform_agreement(caps: Caps) -> str | None:
             "transform": [1] + [counting.binomial_transform_count(by_length, n) for n in lengths],
         }
         if counting.is_primitive_pattern(text):
-            routes["formula"] = _formula(text, "modasc", SERIES_ORDER)
+            routes["formula"] = counting.formula_counts(text, "modasc", SERIES_ORDER)
         witness = agree(lengths, **routes)
         if witness:
             return f"{witness} for {text}"
@@ -381,8 +371,8 @@ def check_series_modasc312(caps: Caps) -> str | None:
     # quoted from length 0; a shifted quote would disagree, not pass
     _, quoted = counting.PRINTED_SEQUENCES[("312", "modasc")]
     return agree(range(1, SERIES_ORDER + 1), series=_series("Modasc312", SERIES_ORDER),
-                 formula=_formula("312", "modasc", SERIES_ORDER), quoted=quoted,
-                 oracle=_oracle("312", "modasc", caps.words))
+                 formula=counting.formula_counts("312", "modasc", SERIES_ORDER), quoted=quoted,
+                 oracle=counting.oracle_counts("312", "modasc", caps.words))
 
 
 def check_series_motzkin(caps: Caps) -> str | None:
@@ -423,8 +413,8 @@ def check_insertion_221(caps: Caps) -> str | None:
     lengths = range(1, caps.words + 1)
     # insertion starts at length 1; length 0 is the empty word
     return agree(lengths, insertion=[1] + [counting.modasc221_by_insertion(n) for n in lengths],
-                 formula=_formula("221", "modasc", caps.words),
-                 oracle=_oracle("221", "modasc", caps.words))
+                 formula=counting.formula_counts("221", "modasc", caps.words),
+                 oracle=counting.oracle_counts("221", "modasc", caps.words))
 
 
 def check_printed_sequences(caps: Caps) -> str | None:
@@ -445,14 +435,6 @@ class TableRow(NamedTuple):
     verdict: str  # "ok", "data" or "FAIL"
     detail: str
     comparisons: int
-
-
-def _oracle(text: str, cls: str, top: int) -> list[int]:
-    return patterns.count_avoiders_upto(top, (patterns.parse_pattern(text),), cls)
-
-
-def _formula(text: str, cls: str, top: int) -> list[int]:
-    return [counting.closed_counts(text, cls, n) for n in range(top + 1)]
 
 
 def _series(name: str, order: int) -> tuple[int, ...]:
@@ -490,26 +472,21 @@ def table_rows(kinds: Collection[str], n_max: int, cap: int) -> Iterator[TableRo
         for row in counting.TABLE1:
             joined = ",".join(row.patterns)
             for cls, family in (("modasc", row.modasc), ("prim", row.prim)):
-                vals = [tuple(_oracle(p, cls, n_max)[1:]) for p in row.patterns]
+                vals = [tuple(counting.oracle_counts(p, cls, n_max)[1:]) for p in row.patterns]
                 shown = _shown(vals[0])
                 if family is None:
                     verdict = "data" if len(set(vals)) == 1 else "FAIL"
                     yield TableRow("families", joined, cls, verdict, shown, len(vals) - 1)
                     continue
-                formula = tuple(
-                    counting.closed_counts(row.patterns[0], cls, n)
-                    for n in range(1, n_max + 1)
-                )
-                if set(vals) == {formula}:
-                    yield TableRow("families", joined, cls, "ok", shown, len(vals))
-                else:
-                    detail = f"oracle {shown} formula {_shown(formula)}"
-                    yield TableRow("families", joined, cls, "FAIL", detail, len(vals))
+                formula = tuple(counting.formula_counts(row.patterns[0], cls, n_max)[1:])
+                ok = set(vals) == {formula}
+                detail = shown if ok else f"oracle {shown} formula {_shown(formula)}"
+                yield TableRow("families", joined, cls, "ok" if ok else "FAIL", detail, len(vals))
 
     if "golden" in kinds:
         for (text, cls), pinned in sorted(counting.TABLE2.items()):
             depth = min(len(pinned) if pinned else n_max, cap)
-            got = tuple(_oracle(text, cls, depth)[1:])
+            got = tuple(counting.oracle_counts(text, cls, depth)[1:])
             shown = _shown(got)
             if pinned is None:
                 yield TableRow("golden", text, cls, "data", shown, 0)
@@ -521,20 +498,14 @@ def table_rows(kinds: Collection[str], n_max: int, cap: int) -> Iterator[TableRo
 
     if "quoted" in kinds:
         for (text, cls), (offset, quoted) in sorted(counting.PRINTED_SEQUENCES.items()):
-            oracle = _oracle(text, cls, min(offset + len(quoted) - 1, cap))
-            bad = None
-            for n, v in enumerate(quoted, offset):
-                if counting.closed_counts(text, cls, n) != v:
-                    bad = f"formula differs at n={n}"
-                elif n <= cap and oracle[n] != v:
-                    bad = f"oracle differs at n={n}"
-                if bad:
-                    break
+            top = offset + len(quoted) - 1
+            routes = {"formula": counting.formula_counts(text, cls, top),
+                      "oracle": counting.oracle_counts(text, cls, min(top, cap))}
+            bad = next((f"{name} differs at n={n}" for n, v in enumerate(quoted, offset)
+                        for name, route in routes.items() if n < len(route) and route[n] != v), None)
             shown = _shown(quoted)
-            if bad is None:
-                yield TableRow("quoted", text, cls, "ok", shown, 1)
-            else:
-                yield TableRow("quoted", text, cls, "FAIL", f"{bad}; quoted {shown}", 1)
+            verdict, detail = ("ok", shown) if bad is None else ("FAIL", f"{bad}; quoted {shown}")
+            yield TableRow("quoted", text, cls, verdict, detail, 1)
 
 
 Check = tuple[str, str, Callable[[Caps], "str | None"]]

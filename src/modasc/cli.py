@@ -211,22 +211,22 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     text, cls = _parse_label(args.label)
     _check_length(args.n)
-    source = args.source
-    if source == "auto":
-        source = "formula" if counting.has_closed_form(text, cls) else "oracle"
-    if source == "formula":
-        if not counting.has_closed_form(text, cls):
-            raise _usage_error(f"no closed form is known for {args.label}")
-        table = counting.formula_table(text, cls, args.n)
-    else:
+    closed = counting.has_closed_form(text, cls)
+    if args.source == "formula" and not closed:
+        raise _usage_error(f"no closed form is known for {args.label}")
+    if args.source == "oracle" or not closed:
         _check_cap(args.n, args.cap)
-        table = counting.oracle_table(text, cls, args.n)
-    if args.format == "bfile":
-        payload = table.to_bfile()
-    elif args.format == "json":
-        payload = json.dumps(table.to_json_obj(), indent=2) + "\n"
+        counts = counting.oracle_counts(text, cls, args.n)[1:]
     else:
-        payload = table.to_csv()
+        counts = counting.formula_counts(text, cls, args.n)[1:]
+    if args.format == "bfile":
+        payload = "".join(f"{n} {c}\n" for n, c in enumerate(counts, 1))
+    elif args.format == "json":
+        label = f"{counting._pattern_text(text)}-{cls}"
+        obj = {"label": label, "offset": 1 if counts else None, "values": counts}
+        payload = json.dumps(obj, indent=2) + "\n"
+    else:
+        payload = "n,count\n" + "".join(f"{n},{c}\n" for n, c in enumerate(counts, 1))
     if args.out == "-":
         sys.stdout.write(payload)
     else:
@@ -239,16 +239,10 @@ def cmd_export(args) -> int:
 def cmd_experiment(args) -> int:
     _check_cap(args.order, args.cap, "order")
     n_max = args.order
-
-    def counts(text: str, cls: str = "modasc") -> list[int]:
-        return patterns.count_avoiders_upto(
-            n_max, (patterns.parse_pattern(text),), cls
-        )
-
     if args.check == "modasc122-vs-211":
         # Tries the guessed relation a122 = (1-t) * a211 coefficientwise,
         # and the partial-sum variant a122(n) = sum of a211(0..n-1).
-        a122, a211 = counts("122"), counts("211")
+        a122, a211 = (counting.oracle_counts(text, "modasc", n_max) for text in ("122", "211"))
         deltas = [a - b for a, b in zip(a211, [0] + a211)]
         # the empty sum at n = 0 is taken as 1, the count of the empty word
         psums = [1] + list(itertools.accumulate(a211))[:-1]
@@ -263,7 +257,8 @@ def cmd_experiment(args) -> int:
             f"{'holds' if a122 == psums else 'fails'}"
         )
     else:
-        rows = [counts(text, cls) for cls in ("modasc", "prim") for text in ("211", "1223")]
+        rows = [counting.oracle_counts(text, cls, n_max)
+                for cls in ("modasc", "prim") for text in ("211", "1223")]
         print("n modasc(211) modasc(1223) prim(211) prim(1223)")
         for row in zip(range(n_max + 1), *rows):
             print(*row)

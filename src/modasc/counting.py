@@ -4,8 +4,8 @@ Every count is an arbitrary-precision integer.  Counts for a pattern and
 class come from up to three independent routes that the test suite pits
 against each other:
 
-* the oracle (explicit generation and filtering),
-* a closed formula per pattern, and
+* the oracle (explicit generation and filtering), `oracle_counts`,
+* a closed formula per pattern, `formula_counts`, and
 * a truncated power series.
 
 For a primitive pattern y the counts over the full class are the
@@ -266,45 +266,23 @@ def has_closed_form(pattern, cls: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# count tables and the binomial transform
+# count routes and the binomial transform
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """A labelled run of counts n -> a(n), as `export` writes it."""
+def oracle_counts(pattern, cls: str, top: int) -> list[int]:
+    """Avoiders of one pattern counted by explicit generation, by length
+    from 0 to `top`.
 
-    label: str
-    values: tuple[tuple[int, int], ...]  # (n, count), increasing n
-
-    @property
-    def offset(self) -> int | None:
-        return self.values[0][0] if self.values else None
-
-    def to_bfile(self) -> str:
-        return "".join(f"{n} {c}\n" for n, c in self.values)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "offset": self.offset,
-            "values": [c for _, c in self.values],
-        }
-
-    def to_csv(self) -> str:
-        return "n,count\n" + "".join(f"{n},{c}\n" for n, c in self.values)
-
-
-def oracle_table(pattern, cls: str, n_max: int) -> CountTable:
-    """Counts by explicit generation, lengths 1..n_max."""
+    >>> oracle_counts((2, 3, 2, 1), "prim", 5)
+    [1, 1, 1, 2, 5, 15]
+    """
     pat = _patterns.parse_pattern(_pattern_text(pattern))
-    counts = _patterns.count_avoiders_upto(n_max, (pat,), cls)
-    vals = tuple(enumerate(counts))[1:]
-    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals)
+    return _patterns.count_avoiders_upto(top, (pat,), cls)
 
 
-def formula_table(pattern, cls: str, n_max: int) -> CountTable:
-    vals = tuple((n, closed_counts(pattern, cls, n)) for n in range(1, n_max + 1))
-    return CountTable(f"{_pattern_text(pattern)}-{cls}", vals)
+def formula_counts(pattern, cls: str, top: int) -> list[int]:
+    """`closed_counts` of one pattern, by length from 0 to `top`."""
+    return [closed_counts(pattern, cls, n) for n in range(top + 1)]
 
 
 def binomial_transform_count(prim_counts: Mapping[int, int], n: int) -> int:
@@ -548,12 +526,16 @@ def active_sites_221(w: Word) -> frozenset[int]:
 def modasc221_by_insertion(n: int) -> int:
     """Count 221-avoiders of length n by choosing a primitive core and a
     multiset of flat-step insertions at its active sites.  The cores are
-    filtered by `patterns.contains`, not read from the oracle's levels."""
+    the primitive words that `active_sites_221` accepts, tested for 221 by
+    `patterns.contains`, not read from the oracle's levels."""
     if n < 1:
         raise ValueError("length must be at least 1")
     total = 0
     for k in range(1, n + 1):
         for w in iter_prim(k):
-            if not _patterns.contains(w, (2, 2, 1)):
-                total += comb(n - 1 - k + len(active_sites_221(w)), n - k)
+            try:
+                sites = active_sites_221(w)
+            except ValueError:  # w contains 221
+                continue
+            total += comb(n - 1 - k + len(sites), n - k)
     return total

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from modasc import checks, counting, patterns, words
+from modasc import checks, counting, maps, paths, patterns, words
 from modasc.series import IntSeries
 
 SMALL = checks.Caps(words=6)
@@ -172,3 +174,137 @@ def test_insertion_221_grows_no_avoider_level(monkeypatch):
     assert [counting.modasc221_by_insertion(n) for n in lengths] == [
         counting.closed_counts("221", "modasc", n) for n in lengths
     ]
+
+
+BIJECTION_CHECKS = {
+    tag: fn for tag, _, fn in checks.SUITES["bijections"] if tag != "flats.roundtrip"
+}
+
+
+def _broken_at(fn, at, value):
+    """`fn`, except that the arguments `at` give `value`."""
+    return lambda *args: value if args == at else fn(*args)
+
+
+def test_bijects_witness_forms():
+    square = lambda x: x * x  # noqa: E731
+    assert checks.bijects(range(4), range, square, target=lambda n: [m * m for m in range(n)]) is None
+    assert checks.bijects(range(3), lambda n: range(-n, n), square) == "-1, 1 -> 1"
+    assert checks.bijects(range(3), range, square, lambda y: y // 2) == "1 -> 1 -> 0"
+    assert checks.bijects(range(3), range, square, target=lambda n: range(n + 1)) == "n=0: 0 is missed"
+    assert checks.bijects(range(4), range, square, target=range) == "n=3: 4 is outside the target"
+
+    def odd_refused(x):
+        if x % 2:
+            raise ValueError(f"{x} is odd")
+        return x
+
+    assert checks.bijects(range(3), range, odd_refused) == "1: 1 is odd"
+    assert checks.bijects(range(3), range, lambda x: x + 1, odd_refused) == "0: 1 is odd"
+
+
+# (the check, the map, one object, an image of it that the inverse
+# refuses): the refusal is the check's witness, not a ValueError
+REFUSED_IMAGES = [
+    ("dyck.312", "phi_312", (1, 2, 3, 1), "ududud", "'ududud' contains dudu"),
+    ("part.122", "modasc122_to_partition", (1, 2, 1), ((1, 5), (2,)),
+     "((1, 5), (2,)) is not a partition of an initial segment"),
+    ("comp.112", "modasc112_to_composition", (1, 1, 1), (3, 0), "parts must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, name, x, y, refusal", REFUSED_IMAGES, ids=[r[0] for r in REFUSED_IMAGES]
+)
+def test_bijection_checks_report_a_refused_image(monkeypatch, tag, name, x, y, refusal):
+    monkeypatch.setattr(maps, name, _broken_at(getattr(maps, name), (x,), y))
+    assert BIJECTION_CHECKS[tag](SMALL) == f"{x}: {refusal}"
+
+
+# (id, where, name, the arguments it is broken at, what it gives there,
+# the checks that must fail, the bijection check's witness)
+BROKEN_ROUTES = [
+    ("std.bijection", maps, "omega_to_prim", ((1, 3, 2),), (1, 2, 2),
+     {"std.bijection", "omega.chains"}, "(1, 2, 1) -> (1, 3, 2) -> (1, 2, 2)"),
+    ("burge.ascending", maps, "burge_fishburn", ((1, 2, 1), "ascending"), (1, 2, 3),
+     {"burge.ascending"}, "(1, 2, 1), (1, 2, 3) -> (1, 2, 3)"),
+    ("burge.descending-shared", maps, "burge_fishburn", ((1, 1, 1), "descending"), (2, 1, 3),
+     {"burge.descending"}, "(1, 1, 1), (1, 1, 2) -> (2, 1, 3)"),
+    ("burge.descending-law", maps, "burge_fishburn", ((1, 1, 2), "descending"), (1, 1, 3),
+     {"burge.descending"}, "(1, 1, 2): the transpose is not a permutation"),
+    ("comp.112", maps, "composition_to_modasc112", ((2, 1),), (1, 1, 2),
+     {"comp.112"}, "(1, 2, 1) -> (2, 1) -> (1, 1, 2)"),
+    # the inverse sorts the blocks back, so only the target sees the swap
+    ("part.122", maps, "modasc122_to_partition", ((1, 2, 1),), ((2,), (1, 3)),
+     {"part.122"}, "n=3: ((2,), (1, 3)) is outside the target"),
+    ("dyck.312", paths, "generate_dudu_avoiders", (3,), ("uuuddd", "uududd", "uuddud"),
+     {"dyck.312", "series.D"}, "n=4: uduudd is outside the target"),
+    ("claesson.32-1", maps, "claesson_inverse", ((3, 1, 2),), ((2,), (1, 3)),
+     {"claesson.32-1"}, "((1, 3), (2,)) -> (3, 1, 2) -> ((2,), (1, 3))"),
+    # the descent law is checked on the pair before the inverse runs
+    ("claesson.32-1-law", maps, "claesson", (((1, 2),),), (1, 2),
+     {"claesson.32-1"}, "((1, 2),): descent law failed"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, name, at, value, failing, witness", [r[1:] for r in BROKEN_ROUTES],
+    ids=[r[0] for r in BROKEN_ROUTES],
+)
+def test_bijection_checks_catch_one_map_wrong_at_one_object(
+    monkeypatch, where, name, at, value, failing, witness
+):
+    for n in range(13):  # cached first, so no level is grown from the broken one
+        paths.generate_dudu_avoiders(n)
+    monkeypatch.setattr(where, name, _broken_at(getattr(where, name), at, value))
+    witnesses = {r.tag: r.witness for r in checks.run_suite("all", SMALL) if not r.passed}
+    assert set(witnesses) == failing
+    (tag,) = failing & set(BIJECTION_CHECKS)
+    assert witnesses[tag] == witness
+
+
+MAPS = (
+    "standardize", "omega_to_prim", "burge_fishburn", "modasc112_to_composition",
+    "composition_to_modasc112", "modasc122_to_partition", "partition_to_modasc122",
+    "phi_312", "phi_inverse", "claesson", "claesson_inverse",
+)
+
+
+@pytest.mark.parametrize("tag", sorted(BIJECTION_CHECKS))
+def test_bijection_checks_call_each_map_once_per_object(monkeypatch, tag):
+    assert len(BIJECTION_CHECKS) == 7
+    # calls from the check, not those a map makes to itself or to another map
+    calls = Counter()
+    inside = []
+
+    def counted(name, fn):
+        def call(*args):
+            if not inside:
+                calls[name, args] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    for name in MAPS:
+        monkeypatch.setattr(maps, name, counted(name, getattr(maps, name)))
+    assert BIJECTION_CHECKS[tag](SMALL) is None
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+
+def test_claesson_check_tests_each_image_for_32_1_once(monkeypatch):
+    # the inverse's own test is the only one: no pre-check in the check
+    calls = Counter()
+    contains_special = patterns.contains_special
+
+    def counted(p, name):
+        calls[name] += 1
+        return contains_special(p, name)
+
+    monkeypatch.setattr(patterns, "contains_special", counted)
+    monkeypatch.setattr(maps, "contains_special", counted)
+    assert checks.check_claesson(SMALL) is None
+    assert calls == {"32-1": sum(counting.bell(n) for n in range(1, SMALL.listed + 1))}

@@ -357,6 +357,19 @@ def test_export_oracle_source(capsys):
     assert out == "1 1\n2 2\n3 5\n4 14\n5 43\n"
 
 
+def test_export_keeps_multi_digit_labels(capsys):
+    label = "1 2 3 4 5 6 7 8 9 10-modasc"
+    code, out, _ = run(
+        capsys,
+        ["export", "--label", label, "--n", "3", "--source", "oracle", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"label": label, "offset": 1, "values": [1, 2, 5]}
+    code, out, _ = run(capsys, ["export", "--label", "2 3 2 1-modasc", "--n", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["label"] == "2321-modasc"
+
+
 def test_export_auto_falls_back_to_oracle(capsys):
     code, out, _ = run(capsys, ["export", "--label", "1123-prim", "--n", "3"])
     assert code == 0

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from modasc import checks, counting, patterns
@@ -67,23 +65,22 @@ def test_table2_pins():
     assert counting.TABLE2[("211", "modasc")] is None
 
 
-def test_count_table_serializations():
-    table = counting.formula_table("312", "modasc", 4)
-    assert table.values[2] == (3, 5)
-    assert table.offset == 1
-    assert table.to_bfile() == "1 1\n2 2\n3 5\n4 14\n"
-    assert table.to_csv() == "n,count\n1,1\n2,2\n3,5\n4,14\n"
-    obj = table.to_json_obj()
-    assert obj == {"label": "312-modasc", "offset": 1, "values": [1, 2, 5, 14]}
-    json.dumps(obj)  # stays serializable
+def test_count_routes_list_counts_from_length_0():
+    # the routes of `export` and of the count checks; the serializations
+    # are pinned by the export tests in tests/test_cli.py
+    assert counting.formula_counts("312", "modasc", 4) == [1, 1, 2, 5, 14]
+    assert counting.oracle_counts("312", "modasc", 4) == [1, 1, 2, 5, 14]
+    assert counting.formula_counts((2, 3, 2, 1), "prim", 5) == \
+        counting.oracle_counts("2 3 2 1", "prim", 5) == [1, 1, 1, 2, 5, 15]
 
 
-def test_empty_table():
-    table = counting.formula_table("312", "modasc", 0)
-    assert table.values == ()
-    assert table.offset is None
-    assert table.to_bfile() == ""
-    assert table.to_csv() == "n,count\n"
+def test_count_routes_at_length_0():
+    # length 0 holds only the empty word, but a pattern with no closed form
+    # has no formula route even there
+    assert counting.formula_counts("312", "modasc", 0) == [1]
+    assert counting.oracle_counts("211", "modasc", 0) == [1]
+    with pytest.raises(counting.NoClosedFormError):
+        counting.formula_counts("211", "modasc", 0)
 
 
 def test_binomial_transform():
@@ -118,13 +115,11 @@ def test_primitive_pattern_reads_multi_digit_values():
 
 def test_tuple_patterns_keep_multi_digit_values():
     ten = tuple(range(1, 11))
-    table = counting.oracle_table(ten, "modasc", 3)
-    assert table.label == "1 2 3 4 5 6 7 8 9 10-modasc"
-    assert table.values == ((1, 1), (2, 2), (3, 5))
+    # joined as text, 1 2 ... 10 would read as 1 2 ... 9 1 0, which is refused
+    assert counting.oracle_counts(ten, "modasc", 3) == [1, 1, 2, 5]
     # joined as text, 1 21 3 2 would read as the known pattern 12132
     assert not counting.has_closed_form((1, 21, 3, 2), "modasc")
     assert counting.has_closed_form((1, 2, 1, 3, 2), "modasc")
-    assert counting.oracle_table((2, 3, 2, 1), "modasc", 2).label == "2321-modasc"
 
 
 def test_ogf_substitute_matches_transform():
