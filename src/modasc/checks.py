@@ -28,25 +28,14 @@ from .series import IntSeries
 
 @dataclass(frozen=True)
 class Caps:
-    """Word lengths up to `words`; paths and partitions three further, to
-    12; checks that compare words or permutations one by one to `listed`,
-    and those that compare numbers of avoiders to `counted`."""
+    """Every word, permutation and set-partition check to length `words`;
+    paths and the partition identity three further, to at most 12."""
 
     words: int
 
     @property
     def paths(self) -> int:
         return min(self.words + 3, 12)
-
-    partitions = paths
-
-    @property
-    def listed(self) -> int:
-        return min(self.words, 9)
-
-    @property
-    def counted(self) -> int:
-        return min(self.words, 10)
 
 
 @dataclass(frozen=True)
@@ -141,12 +130,12 @@ def check_flat_roundtrip(caps: Caps) -> str | None:
 
 
 def check_standardize_bijection(caps: Caps) -> str | None:
-    return bijects(range(caps.listed + 1), words.iter_prim, maps.standardize,
+    return bijects(range(caps.words + 1), words.iter_prim, maps.standardize,
                    maps.omega_to_prim, patterns.generate_omega)
 
 
 def check_burge_ascending(caps: Caps) -> str | None:
-    return bijects(range(caps.listed + 1), words.iter_prim,
+    return bijects(range(caps.words + 1), words.iter_prim,
                    lambda x: maps.burge_fishburn(x, "ascending"), target=patterns.generate_omega)
 
 
@@ -157,7 +146,7 @@ def check_burge_descending(caps: Caps) -> str | None:
             raise ValueError("the transpose is not a permutation")
         return p
 
-    return bijects(range(caps.listed + 1), words.iter_modasc, transpose)
+    return bijects(range(caps.words + 1), words.iter_modasc, transpose)
 
 
 def check_composition_112(caps: Caps) -> str | None:
@@ -167,19 +156,19 @@ def check_composition_112(caps: Caps) -> str | None:
 
 def check_partition_122(caps: Caps) -> str | None:
     # the inverse refuses a partition whose block minima are not 1..k
-    return bijects(range(1, min(caps.words, caps.partitions) + 1),
+    return bijects(range(1, caps.words + 1),
                    lambda n: patterns.avoiders(n, ((1, 2, 2),), "modasc"), maps.modasc122_to_partition,
                    maps.partition_to_modasc122, lambda n: _all_partitions(n, interval_minima=True))
 
 
 def check_dyck_312(caps: Caps) -> str | None:
-    return bijects(range(1, min(caps.words, caps.paths + 1) + 1),
+    return bijects(range(1, caps.words + 1),
                    lambda n: patterns.avoiders(n, ((3, 1, 2),), "prim"), maps.phi_312,
                    maps.phi_inverse, lambda n: paths.generate_dudu_avoiders(n - 1))
 
 
 def check_claesson(caps: Caps) -> str | None:
-    lengths = range(1, caps.listed + 1)
+    lengths = range(1, caps.words + 1)
     rlmin: Counter = Counter()  # images by length and right-to-left minima
 
     def encode(beta: maps.SetPartition) -> patterns.Perm:
@@ -210,13 +199,13 @@ def check_claesson(caps: Caps) -> str | None:
 
 
 def check_prim_counts_omega(caps: Caps) -> str | None:
-    lengths = range(caps.listed + 1)
+    lengths = range(caps.words + 1)
     return agree(lengths, primitive=[words.count_level(n, True) for n in lengths],
                  omega=[len(patterns.generate_omega(n)) for n in lengths])
 
 
 def check_chain_construction(caps: Caps) -> str | None:
-    for n in range(caps.listed + 1):
+    for n in range(caps.words + 1):
         for p in patterns.generate_omega(n):
             if maps.omega_to_prim(p) != maps.omega_to_prim_by_chains(p):
                 return f"chain and falling constructions differ at {p}"
@@ -233,7 +222,7 @@ def _transport(
 
     def check(caps: Caps) -> str | None:
         for y in ys:
-            for n in range(1, caps.listed + 1):
+            for n in range(1, caps.words + 1):
                 avs = patterns.avoiders(n, (y,), "prim")
                 image = {maps.standardize(x) for x in avs}
                 if image != {p for p in patterns.generate_omega(n) if not patterns.contains(p, y)}:
@@ -257,7 +246,7 @@ def check_primitive_statistics(caps: Caps) -> str | None:
 
 
 def check_standardize_statistics(caps: Caps) -> str | None:
-    for n in range(1, caps.listed + 1):
+    for n in range(1, caps.words + 1):
         for w in words.iter_prim(n):
             p = maps.standardize(w)
             des_w = {i for i in range(n - 1) if w[i] > w[i + 1]}
@@ -293,7 +282,7 @@ JOINT_EQUIVALENCES: tuple[tuple[tuple[str, ...], str, str], ...] = (
 def check_single_equivalences(caps: Caps) -> str | None:
     for a, b, cls in EQUIVALENCES:
         w = patterns.avoidance_witness(
-            patterns.parse_pattern(a), patterns.parse_pattern(b), cls, caps.listed
+            patterns.parse_pattern(a), patterns.parse_pattern(b), cls, caps.words
         )
         if w is not None:
             return f"{a} vs {b} over {cls}: witness {w[1]} at n={w[0]}"
@@ -304,7 +293,7 @@ def check_joint_equivalences(caps: Caps) -> str | None:
     for pair, single, cls in JOINT_EQUIVALENCES:
         pats = tuple(patterns.parse_pattern(p) for p in pair)
         lone = (patterns.parse_pattern(single),)
-        for n in range(caps.listed + 1):
+        for n in range(caps.words + 1):
             if patterns.avoiders(n, pats, cls) != patterns.avoiders(n, lone, cls):
                 return f"{','.join(pair)} vs {single} over {cls} differ at n={n}"
     return None
@@ -326,7 +315,7 @@ def check_series_prim122(caps: Caps) -> str | None:
     one_plus_t = IntSeries.one(SERIES_ORDER) + IntSeries.t(SERIES_ORDER)
     return agree(range(SERIES_ORDER + 1), series=_series("PrimOGF122", SERIES_ORDER),
                  product=(one_plus_t * f).coeffs, formula=counting.formula_counts("122", "prim", SERIES_ORDER),
-                 oracle=counting.oracle_counts("122", "prim", caps.counted))
+                 oracle=counting.oracle_counts("122", "prim", caps.words))
 
 
 def check_series_modasc122(caps: Caps) -> str | None:
@@ -336,8 +325,8 @@ def check_series_modasc122(caps: Caps) -> str | None:
 
 
 def check_series_g(caps: Caps) -> str | None:
-    return agree(range(caps.counted), G=_series("G", SERIES_ORDER),
-                 oracle_at_next=counting.oracle_counts("122", "prim", caps.counted)[1:])
+    return agree(range(caps.words), G=_series("G", SERIES_ORDER),
+                 oracle_at_next=counting.oracle_counts("122", "prim", caps.words)[1:])
 
 
 def check_transform_agreement(caps: Caps) -> str | None:
@@ -381,8 +370,7 @@ def check_series_motzkin(caps: Caps) -> str | None:
 
 
 def check_stirling_identity(caps: Caps) -> str | None:
-    top = min(caps.partitions, counting.PARTITION_CAP)
-    for n in range(1, top + 1):
+    for n in range(1, caps.paths + 1):
         if sum(counting.p_coefficients(n)) != counting.bell(n):
             return f"partition row sum != Bell at n={n}"
         for h in range(n):
@@ -392,7 +380,7 @@ def check_stirling_identity(caps: Caps) -> str | None:
 
 
 def check_ascent_laws_2321(caps: Caps) -> str | None:
-    for n in range(1, caps.counted + 1):
+    for n in range(1, caps.words + 1):
         hist = counting.ascent_distribution("2321", "modasc", n)
         for h, cnt in hist.items():
             if cnt != counting.stirling2(n, n - h):

@@ -49,25 +49,38 @@ def test_printed_sequences_check_asks_only_for_quoted_rows(monkeypatch):
 
 
 def test_caps_derive_paths_and_partitions():
-    assert (SMALL.paths, SMALL.partitions) == (9, 9)
-    assert (checks.Caps(words=10).paths, checks.Caps(words=10).partitions) == (12, 12)
+    assert SMALL.paths == 9
+    assert checks.Caps(words=10).paths == 12
     with pytest.raises(TypeError):
         checks.Caps(words=6, paths=8)
 
 
-@pytest.mark.parametrize("top", [0, 6, 8])
-def test_dyck_312_stops_at_the_word_cap(monkeypatch, top):
+# the check, the function it asks for each length, and the position of the
+# length among that function's arguments
+LENGTH_ASKED = {
+    "dyck.312": (patterns, "avoiders", 0),
+    "omega.size": (patterns, "generate_omega", 0),
+    "series.G": (counting, "oracle_counts", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, top", [("dyck.312", 0), ("dyck.312", 6), ("dyck.312", 8), ("omega.size", 10), ("series.G", 11)]
+)
+def test_checks_reach_the_word_cap(monkeypatch, tag, top):
+    where, name, at = LENGTH_ASKED[tag]
+    # the closed form stands in for the oracle, which would grow Prim_11(122)
+    answer = counting.formula_counts if tag == "series.G" else getattr(where, name)
     asked = []
-    avoiders = patterns.avoiders
 
-    def spy(n, pats, cls):
-        asked.append(n)
-        return avoiders(n, pats, cls)
+    def spy(*args):
+        asked.append(args[at])
+        return answer(*args)
 
-    monkeypatch.setattr(patterns, "avoiders", spy)
-    caps = checks.Caps(top)
-    assert checks.check_dyck_312(caps) is None
-    assert max(asked, default=0) == caps.words
+    monkeypatch.setattr(where, name, spy)
+    check = next(fn for t, _, fn in checks.SUITES["all"] if t == tag)
+    assert check(checks.Caps(top)) is None
+    assert max(asked, default=0) == top
 
 
 def test_agree_needs_two_routes_at_every_length():
@@ -307,4 +320,4 @@ def test_claesson_check_tests_each_image_for_32_1_once(monkeypatch):
     monkeypatch.setattr(patterns, "contains_special", counted)
     monkeypatch.setattr(maps, "contains_special", counted)
     assert checks.check_claesson(SMALL) is None
-    assert calls == {"32-1": sum(counting.bell(n) for n in range(1, SMALL.listed + 1))}
+    assert calls == {"32-1": sum(counting.bell(n) for n in range(1, SMALL.words + 1))}

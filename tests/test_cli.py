@@ -291,10 +291,15 @@ def test_fp_cap_rejects_garbage(capsys, monkeypatch):
     assert "positive" in err
 
 
-def test_seedless(capsys):
-    code, out, _ = run(capsys, ["--seedless", "count", "--n", "2"])
-    assert code == 0
-    assert out == "2\n"
+def test_no_subcommand_touches_the_global_random_state(capsys):
+    state = random.getstate()
+    for argv in (
+        ["generate", "--n", "3"], ["count", "--n", "4", "--avoid", "2321"], ["table", "--n", "4"],
+        ["verify", "--suite", "transport", "--n", "4"], ["export", "--label", "312-modasc", "--n", "4"],
+        ["experiment", "--check", "modasc211-vs-1223", "--order", "4"],
+    ):
+        assert run(capsys, argv)[0] == 0, argv
+        assert random.getstate() == state, argv
 
 
 def test_export_bfile(capsys):
