@@ -123,6 +123,9 @@ def cmd_generate(args) -> int:
 def _write_words(out: list, n: int) -> None:
     """Print the words of length n in `out` (tuples or byte strings), one
     per line in `format_word`'s form, WRITE_CHUNK words to a write.
+    Consumes `out`, which is empty on return: it is reversed once and
+    each chunk is cut off its end, so a chunk's words are freed once
+    written and the list shrinks as it goes.
 
     A chunk of byte strings whose letters are all 1..9 is joined, mapped
     to ASCII digits by one `bytes.translate` and interleaved with the
@@ -131,8 +134,11 @@ def _write_words(out: list, n: int) -> None:
     """
     line = " ".join(["%d"] * n) + "\n"
     gaps = b" " * (n - 1) + b"\n"
-    for i in range(0, len(out), WRITE_CHUNK):
-        chunk = out[i:i + WRITE_CHUNK]
+    out.reverse()
+    while out:
+        chunk = out[-WRITE_CHUNK:]
+        del out[-WRITE_CHUNK:]
+        chunk.reverse()
         if n and isinstance(chunk[0], bytes):
             joined = b"".join(chunk)
             if not joined.translate(None, _ONE_DIGIT):

@@ -474,7 +474,7 @@ def sorted_avoider_keys(
     _check_key_length(n)
     if n == 0:
         return [b""]
-    return sorted_children(_parents(n, pats, cls), n, cls == "prim")
+    return sorted_children(_parents(n, pats, cls), cls == "prim")
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:

@@ -19,16 +19,17 @@ every old letter >= a is bumped up by one.  `_letters` states the rule,
 `_children` applies it to a word and `count_level` to the labels alone.
 `_level` (and `iter_modasc`, `iter_prim`) keep the generation order,
 which from n = 4 on is not lexicographic, in an unbounded cache.
-`sorted_keys` expands the cached level n - 1 straight into byte strings,
-one byte per letter (so n <= KEY_CAP = 255), and sorts them; level n is
-never cached and never held as tuples.  The expansion (`sorted_children`)
-makes each child by one `bytes.translate` of the parent's key plus a
-byte 0, through a table per letter that writes the letter in place of
-the 0 and bumps the old letters; the tables of a parent are built once
-per (maximum, last letter) label.  `generate_modasc` and
-`generate_prim` are its tuples.  `patterns` builds its avoider
-levels by the same step, and sorts the last one by the same expansion,
-leaving out the letters a pattern forbids.
+`sorted_keys` expands the cached level n - 2 straight into byte strings,
+one byte per letter (so n <= KEY_CAP = 255), expands those again into
+level n, and sorts it; levels n - 1 and n are never cached and never
+held as tuples.  The expansion (`_child_keys`) makes each child by one
+`bytes.translate` of the parent's key plus a byte 0, through a table
+per letter that writes the letter in place of the 0 and bumps the old
+letters; the tables of a parent are built once per (maximum, last
+letter) label.  `generate_modasc` and `generate_prim` are its tuples.
+`patterns` builds its avoider levels by the same step, and sorts the
+last one by the same expansion (`sorted_children`), leaving out the
+letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -299,26 +300,19 @@ def _check_key_length(n: int) -> None:
         raise ValueError(f"length {n} exceeds {KEY_CAP}: a letter must fit in a byte")
 
 
-def sorted_children(parents: Iterable[tuple[Word, int]], n: int, prim: bool) -> list[bytes]:
-    """The children of the (w, bad) pairs of `parents` (words w of length
-    n - 1, 1 <= n <= KEY_CAP) as sorted byte strings, leaving out below
-    each w the letters a with bit a set in `bad`.
+def _child_keys(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> Iterator[bytes]:
+    """The children of the (w, bad) pairs of `parents`, in generation
+    order, as byte strings, leaving out below each w the letters a with
+    bit a set in `bad`.  A parent w is a word or its byte string.
 
     Each child is the parent's key with a byte 0 appended, put through
     one `bytes.translate` table: the table of a letter a maps 0 to a
     and, if a is bumped, every v >= a to v + 1.  The tuple of tables of
     a parent depends only on its maximum, its last letter and `bad`, so
     it is built once per such label in a dict kept for this call.
-
-    >>> [list(k) for k in sorted_children([((1, 2), 1 << 3)], 3, False)]
-    [[1, 2, 1], [1, 2, 2]]
-    >>> [list(k) for k in sorted_children([((1, 3, 1, 2), 1 << 2)], 5, False)]
-    [[1, 3, 1, 2, 1], [1, 3, 1, 2, 4], [1, 4, 1, 2, 3]]
     """
     same = bytes(range(1, 256))
     labels: dict[tuple[int, int, int], tuple[bytes, ...]] = {}
-    keys: list[bytes] = []
-    extend = keys.extend
     for w, bad in parents:
         key = bytes(w) + b"\0"  # the 0 leaves the max, and makes it 0 for ()
         label = (max(key), key[-2] if w else 0, bad)
@@ -333,17 +327,33 @@ def sorted_children(parents: Iterable[tuple[Word, int]], n: int, prim: bool) -> 
                     if not bad >> a & 1
                 ]
             )
-        extend(map(key.translate, tables))
-    keys.sort()
-    return keys
+        yield from map(key.translate, tables)
+
+
+def sorted_children(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> list[bytes]:
+    """The children of the (w, bad) pairs of `parents` (words w, or
+    their byte strings, of length at most KEY_CAP - 1) as sorted byte
+    strings, leaving out below each w the letters a with bit a set in
+    `bad`; see `_child_keys`.
+
+    >>> [list(k) for k in sorted_children([((1, 2), 1 << 3)], False)]
+    [[1, 2, 1], [1, 2, 2]]
+    >>> [list(k) for k in sorted_children([((1, 3, 1, 2), 1 << 2)], False)]
+    [[1, 3, 1, 2, 1], [1, 3, 1, 2, 4], [1, 4, 1, 2, 3]]
+    >>> [list(k) for k in sorted_children([(b"\\x01\\x02", 0)], True)]
+    [[1, 2, 1], [1, 2, 3]]
+    """
+    return sorted(_child_keys(parents, prim))
 
 
 def sorted_keys(n: int, prim: bool) -> list[bytes]:
     """Level n (the primitive words if `prim`) as byte strings, one byte
-    per letter, in lexicographic order, expanded from the cached level
-    n - 1 by `sorted_children`; level n is not cached.  Byte strings of
-    equal length sort like the tuples.  Raises ValueError unless
-    0 <= n <= KEY_CAP, before any level is built.
+    per letter, in lexicographic order.  Levels n - 1 and n are expanded
+    as byte strings from the cached level n - 2 (level 0 itself for
+    n = 1) by `_child_keys` and `sorted_children`; neither is cached or
+    held as tuples.  Byte strings of equal length sort like the tuples.
+    Raises ValueError unless 0 <= n <= KEY_CAP, before any level is
+    built.
 
     >>> sorted_keys(3, True)
     [b'\\x01\\x02\\x01', b'\\x01\\x02\\x03']
@@ -351,12 +361,16 @@ def sorted_keys(n: int, prim: bool) -> list[bytes]:
     _check_key_length(n)
     if n == 0:
         return [b""]
-    return sorted_children(((w, 0) for w in _level(n - 1, prim)), n, prim)
+    parents = ((w, 0) for w in _level(max(n - 2, 0), prim))
+    if n >= 2:
+        parents = ((k, 0) for k in _child_keys(parents, prim))
+    return sorted_children(parents, prim)
 
 
 def generate_modasc(n: int) -> list[Word]:
     """All modified ascent sequences of length n, lexicographically sorted
-    as the byte strings of `sorted_keys`; level n is not cached.
+    as the byte strings of `sorted_keys`, which expands them from the
+    cached level n - 2; levels n - 1 and n are not cached.
 
     >>> generate_modasc(3)
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
@@ -366,7 +380,8 @@ def generate_modasc(n: int) -> list[Word]:
 
 def generate_prim(n: int) -> list[Word]:
     """All primitive modified ascent sequences of length n, sorted as the
-    byte strings of `sorted_keys`; level n is not cached."""
+    byte strings of `sorted_keys`, which expands them from the cached
+    level n - 2; levels n - 1 and n are not cached."""
     return list(map(tuple, sorted_keys(n, True)))
 
 

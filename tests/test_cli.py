@@ -70,9 +70,11 @@ def test_write_words_matches_format_word(capsys):
         ([(1, 12, 3), (9, 9, 9)], 3),
     ]
     for out, n in cases:
-        cli._write_words(out, n)
         expected = "".join(words.format_word(w) + "\n" for w in out)
-        assert capsys.readouterr().out == expected, (n, out[:2])
+        head = out[:2]
+        cli._write_words(out, n)
+        assert capsys.readouterr().out == expected, (n, head)
+        assert out == [], (n, head)  # the written words are released
 
 
 @pytest.mark.parametrize(

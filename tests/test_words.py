@@ -1,7 +1,10 @@
 import importlib.util
 import itertools
+import json
 import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -259,9 +262,12 @@ def test_sorted_children_matches_children(prim):
         ]
         for bads in masks:
             parents = list(zip(level, bads))
-            assert words.sorted_children(parents, n, prim) == sorted(
+            want = sorted(
                 bytes(c) for w, bad in parents for c in words._children(w, prim, bad)
-            ), (n, prim, bads[:3])
+            )
+            assert words.sorted_children(parents, prim) == want, (n, prim, bads[:3])
+            keyed = [(bytes(w), bad) for w, bad in parents]
+            assert words.sorted_children(keyed, prim) == want, (n, prim, bads[:3])
 
 
 def test_sorted_levels_reject_negative_length():
@@ -297,15 +303,44 @@ def test_generate_avoid_caches_levels_below_n(capsys):
 
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
-def test_generate_caches_levels_below_n(capsys, cls):
+def test_generate_caches_levels_below_n(capsys, monkeypatch, cls):
     words._level.cache_clear()
+    children = words._children
+    grown = []
+
+    def spy(w, *args):
+        grown.append(len(w) + 1)
+        return children(w, *args)
+
+    monkeypatch.setattr(words, "_children", spy)
     assert cli.main(["generate", "--class", cls, "--n", "9"]) == 0
     info = words._level.cache_info()
-    # levels 0..8: level 9 is sorted from level 8's children, not cached
-    assert info.currsize == 9
+    # levels 0..7: levels 8 and 9 are expanded as byte strings from
+    # level 7, and no word of length 8 is built as a tuple
+    assert info.currsize == 8
     assert info.hits + info.misses > 0
+    assert max(grown) == 7
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == words.count_level(9, cls == "prim")
+
+
+def test_traced_enumerate_reads_no_null():
+    # A traced pass that loses a cache, or fills one with something other
+    # than tuples of words, reads null in its counters and still exits 0.
+    child = pathlib.Path(__file__).parents[1] / "benchmark" / "child.py"
+    done = subprocess.run(
+        [sys.executable, str(child), "enumerate", "0", "0", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["failed"] == 0, report["failures"]
+    layers = report["layers"]
+    assert layers
+    bad = {k: v for k, v in layers.items() if not isinstance(v, (int, float))}
+    assert not bad
 
 
 def test_traced_caches_exist():
