@@ -39,7 +39,6 @@ from .maps import (
 from .paths import avoids_dudu, decompose_returns, generate_dudu_avoiders
 from .patterns import (
     avoiders,
-    avoidance_witness,
     contains,
     contains_special,
     count_avoiders,
@@ -67,7 +66,6 @@ __all__ = [
     "IntSeries",
     "NoClosedFormError",
     "ascent_distribution",
-    "avoidance_witness",
     "avoiders",
     "avoids_dudu",
     "binomial_transform_count",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 
@@ -38,19 +37,6 @@ _DIGITS = bytes.maketrans(_ONE_DIGIT, b"123456789")
 EXPERIMENTS = ("modasc122-vs-211", "modasc211-vs-1223")
 
 
-def _env_cap() -> int:
-    raw = os.environ.get("FP_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _usage_error(f"FP_CAP={raw!r} is not an integer")
-    if cap < 1:
-        raise _usage_error(f"FP_CAP must be positive, got {cap}")
-    return cap
-
-
 def _usage_error(message: str) -> "SystemExit":
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
@@ -66,7 +52,7 @@ def _check_cap(n: int, cap: int, what: str = "length") -> None:
     if n > cap:
         raise _usage_error(
             f"{what} {n} exceeds the enumeration cap {cap}; "
-            "raise --cap (or FP_CAP) if you really want this"
+            "raise --cap if you really want this"
         )
 
 
@@ -288,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap",
         type=int,
-        default=None,
-        help=f"enumeration cap on word length (default FP_CAP or {DEFAULT_CAP})",
+        default=DEFAULT_CAP,
+        help=f"enumeration cap on word length (default {DEFAULT_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,7 +327,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.cap = _env_cap() if args.cap is None else args.cap
         if args.cap < 1:
             raise _usage_error("--cap must be positive")
         return args.fn(args)

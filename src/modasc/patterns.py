@@ -445,18 +445,13 @@ def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
     return pats
 
 
-def _checked_level(n: int, patterns: Iterable[Word], cls: str) -> tuple[Word, ...]:
-    """`_avoider_level` after checking the class, the length and the patterns."""
-    return _avoider_level(n, _checked(n, patterns, cls), cls)
-
-
 def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word]:
     """All length-n members of the class avoiding every given pattern.
 
     >>> avoiders(3, [(1, 2, 2)])
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3)]
     """
-    return sorted(_checked_level(n, patterns, cls))
+    return sorted(_avoider_level(n, _checked(n, patterns, cls), cls))
 
 
 def sorted_avoider_keys(
@@ -607,20 +602,3 @@ def generate_omega(n: int) -> tuple[Perm, ...]:
     (1 stays first) that is not a descent bottom of p: a new omega occurrence
     ends with a, after the descent bottom a + 1 that p's bottom a became."""
     return tuple(sorted(grow_perms(n, "omega")))
-
-
-def avoidance_witness(
-    y1: Word, y2: Word, cls: str = "modasc", n_max: int = 9
-) -> tuple[int, Word] | None:
-    """Smallest word avoiding exactly one of the two patterns, or None.
-
-    >>> avoidance_witness((1, 2, 2), (1, 2, 3, 2), n_max=5)
-    (3, (1, 2, 2))
-    """
-    for n in range(n_max + 1):
-        a = _checked_level(n, [y1], cls)
-        b = _checked_level(n, [y2], cls)
-        if a != b:
-            sa, sb = set(a), set(b)
-            return n, min(sa.symmetric_difference(sb))
-    return None

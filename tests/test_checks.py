@@ -61,11 +61,15 @@ LENGTH_ASKED = {
     "dyck.312": (patterns, "avoiders", 0),
     "omega.size": (patterns, "generate_omega", 0),
     "series.G": (counting, "oracle_counts", 2),
+    "equiv.single": (patterns, "count_avoiders_upto", 0),
+    "equiv.joint": (patterns, "count_avoiders_upto", 0),
 }
 
 
 @pytest.mark.parametrize(
-    "tag, top", [("dyck.312", 0), ("dyck.312", 6), ("dyck.312", 8), ("omega.size", 10), ("series.G", 11)]
+    "tag, top",
+    [("dyck.312", 0), ("dyck.312", 6), ("dyck.312", 8), ("omega.size", 10), ("series.G", 11),
+     ("equiv.single", 0), ("equiv.single", 9), ("equiv.joint", 9)],
 )
 def test_checks_reach_the_word_cap(monkeypatch, tag, top):
     where, name, at = LENGTH_ASKED[tag]
@@ -187,6 +191,44 @@ def test_insertion_221_grows_no_avoider_level(monkeypatch):
     assert [counting.modasc221_by_insertion(n) for n in lengths] == [
         counting.closed_counts("221", "modasc", n) for n in lengths
     ]
+
+
+EQUIVALENCE_CHECKS = {tag: fn for tag, _, fn in checks.SUITES["equivalences"]}
+
+
+@pytest.mark.parametrize(
+    "table, row, witness",
+    [
+        ("EQUIVALENCES", ("12", "21", "modasc"), "12 vs 21 over modasc: n=2: 12 1, 12,21 1, 21 2"),
+        # the union is the left side, so it is named and counted once
+        ("JOINT_EQUIVALENCES", (("12", "21"), "21", "modasc"), "12,21 vs 21 over modasc: n=2: 12,21 1, 21 2"),
+    ],
+    ids=["single", "joint"],
+)
+def test_equivalence_checks_report_a_false_row(monkeypatch, table, row, witness):
+    monkeypatch.setattr(checks, table, getattr(checks, table) + (row,))
+    failing = {r.tag: r.witness for r in checks.run_suite("equivalences", checks.Caps(5)) if not r.passed}
+    tag = "equiv.single" if table == "EQUIVALENCES" else "equiv.joint"
+    assert failing == {tag: witness}
+
+
+@pytest.mark.parametrize("tag", sorted(EQUIVALENCE_CHECKS))
+def test_equivalence_checks_build_no_level_above_n_minus_2(monkeypatch, tag):
+    # Counting lengths n - 1 and n needs only the levels up to n - 2.
+    level = patterns._avoider_level
+    built = []
+
+    def spy(n, pats, cls):
+        built.append(n)
+        return level(n, pats, cls)
+
+    monkeypatch.setattr(patterns, "_avoider_level", spy)
+    for n in range(9):
+        level.cache_clear()
+        patterns._COUNTS.clear()
+        built.clear()
+        assert EQUIVALENCE_CHECKS[tag](checks.Caps(n)) is None
+        assert max(built) <= max(n - 2, 1), n
 
 
 BIJECTION_CHECKS = {

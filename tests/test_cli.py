@@ -235,9 +235,8 @@ def test_cap_blocks_verify_and_table(capsys, argv):
     assert "exceeds the enumeration cap 10" in err
 
 
-def test_cap_env_blocks_verify_and_table(capsys, monkeypatch):
-    monkeypatch.setenv("FP_CAP", "3")
-    for argv in (["verify", "--n", "4"], ["table", "--n", "4"]):
+def test_cap_flag_blocks_verify_and_table(capsys):
+    for argv in (["--cap", "3", "verify", "--n", "4"], ["--cap", "3", "table", "--n", "4"]):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
@@ -271,26 +270,21 @@ def test_cap_flag_raises_limit(capsys):
     assert out == "1422074\n"
 
 
-def test_fp_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FP_CAP", "4")
-    code, _, err = run(capsys, ["count", "--n", "5"])
+def test_cap_flag_lowers_limit_and_the_environment_does_not(capsys, monkeypatch):
+    code, _, err = run(capsys, ["--cap", "4", "count", "--n", "5"])
     assert code == 2
     assert "cap 4" in err
-    # an explicit --cap wins over the environment
-    code, out, _ = run(capsys, ["--cap", "10", "count", "--n", "5"])
+    # the cap is set by --cap alone
+    monkeypatch.setenv("FP_CAP", "4")
+    code, out, _ = run(capsys, ["count", "--n", "5"])
     assert code == 0
     assert out == "53\n"
 
 
-def test_fp_cap_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("FP_CAP", "many")
-    code, _, err = run(capsys, ["count", "--n", "2"])
+def test_cap_flag_must_be_positive(capsys):
+    code, _, err = run(capsys, ["--cap", "0", "count", "--n", "0"])
     assert code == 2
-    assert "not an integer" in err
-    monkeypatch.setenv("FP_CAP", "0")
-    code, _, err = run(capsys, ["count", "--n", "2"])
-    assert code == 2
-    assert "positive" in err
+    assert "--cap must be positive" in err
 
 
 def test_no_subcommand_touches_the_global_random_state(capsys):

@@ -122,13 +122,3 @@ def test_omega_class():
     # the omega class is equinumerous with the primitive words
     for n in range(8):
         assert len(patterns.generate_omega(n)) == len(words.generate_prim(n))
-
-
-def test_avoidance_witness():
-    assert patterns.avoidance_witness((1, 2, 2), (1, 2, 3, 2), n_max=5) == (
-        3,
-        (1, 2, 2),
-    )
-    assert patterns.avoidance_witness((2, 1, 3), (1, 2, 1, 3), n_max=6) is None
-    assert patterns.avoidance_witness((3, 1, 2), (1, 3, 1, 2), n_max=6) is None
-    assert patterns.avoidance_witness((1, 2, 2), (2, 1, 1), n_max=6) is not None
