@@ -482,6 +482,25 @@ def test_verify_default_output(capsys):
     assert out.splitlines()[-1].startswith("verify all: 28/28 checks passed")
 
 
+VERIFY_ALL_SHA256 = {
+    0: "8a64d5f79430e6b7546fc5b7c0b31997929312bf84f5bda1cca61b076787ef85",
+    1: "a125421ee18386d7ac1a03ac72568617bc815b68c9346f0dc1b65e8b9c847e70",
+    2: "4e707ec78662e2d66acb37ec2c4a644a115e93241fcb6b5c07622369661f6de4",
+    3: "9b204ad2fcbf59c5d866a6c084bdc064f55f1283945fe6417df622c8c7615a6f",
+    4: "82672056573df7f59a87e1065f30f15697595b7debe69fbf8b3cbeb50d1b00b5",
+    5: "a1f307c83572015bde50eff7077fd331a4d1ecd760161c2de8fb13e042f8c3e9",
+    6: "edd44b2bd9cf49b9fd15eb1fcffbe82f0a78cb3e3f1827ae73e011c1f5911ce8",
+    7: "dc76353b323703ba2fb1ba4db0f0c2d9744691ef2969adb92bf6471c38233df3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_ALL_SHA256))
+def test_verify_output_is_pinned_at_each_depth(capsys, n):
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[n]
+
+
 def test_verify_times_each_check_on_stderr(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "identities", "--n", "4"])
     assert code == 0
