@@ -121,7 +121,7 @@ def bijects(lengths: range, domain: Callable[[int], Iterable], forward: Callable
 
 def check_flat_roundtrip(caps: Caps) -> str | None:
     for n in range(1, caps.words + 1):
-        for x in words.iter_modasc(n):
+        for x in words.generate_modasc(n):
             d = words.collapse_flats(x)
             if words.insert_flats(d) != x:
                 return f"roundtrip failed at {x}"
@@ -133,12 +133,12 @@ def check_flat_roundtrip(caps: Caps) -> str | None:
 
 
 def check_standardize_bijection(caps: Caps) -> str | None:
-    return bijects(range(caps.words + 1), words.iter_prim, maps.standardize,
+    return bijects(range(caps.words + 1), words.generate_prim, maps.standardize,
                    maps.omega_to_prim, patterns.generate_omega)
 
 
 def check_burge_ascending(caps: Caps) -> str | None:
-    return bijects(range(caps.words + 1), words.iter_prim,
+    return bijects(range(caps.words + 1), words.generate_prim,
                    lambda x: maps.burge_fishburn(x, "ascending"), target=patterns.generate_omega)
 
 
@@ -149,7 +149,7 @@ def check_burge_descending(caps: Caps) -> str | None:
             raise ValueError("the transpose is not a permutation")
         return p
 
-    return bijects(range(caps.words + 1), words.iter_modasc, transpose)
+    return bijects(range(caps.words + 1), words.generate_modasc, transpose)
 
 
 def check_composition_112(caps: Caps) -> str | None:
@@ -239,7 +239,7 @@ def _transport(
 
 def check_primitive_statistics(caps: Caps) -> str | None:
     for n in range(1, caps.words + 1):
-        for w in words.iter_prim(n):
+        for w in words.generate_prim(n):
             st = words.statistics(w)
             if st.wlrmax != st.lrmax or st.wrlmax != st.rlmax:
                 return f"weak and strict maxima differ on {w}"
@@ -250,7 +250,7 @@ def check_primitive_statistics(caps: Caps) -> str | None:
 
 def check_standardize_statistics(caps: Caps) -> str | None:
     for n in range(1, caps.words + 1):
-        for w in words.iter_prim(n):
+        for w in words.generate_prim(n):
             p = maps.standardize(w)
             des_w = {i for i in range(n - 1) if w[i] > w[i + 1]}
             des_p = {i for i in range(n - 1) if p[i] > p[i + 1]}

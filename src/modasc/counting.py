@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 from . import patterns as _patterns
 from .series import IntSeries
-from .words import Word, statistics, is_prim, has_flat_steps, iter_prim, parse_word
+from .words import Word, check_length, generate_prim, has_flat_steps, is_prim, parse_word, statistics
 
 #: Largest n for which set partitions are enumerated explicitly.
 PARTITION_CAP = 12
@@ -47,6 +47,7 @@ def catalan(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def motzkin(n: int) -> int:
+    check_length(n)
     if n <= 1:
         return 1
     return motzkin(n - 1) + sum(
@@ -56,6 +57,7 @@ def motzkin(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
+    check_length(n)
     if n < 2:
         return n
     a, b = 0, 1
@@ -66,20 +68,16 @@ def fibonacci(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def bell(n: int) -> int:
+    check_length(n)
     if n == 0:
         return 1
     return sum(comb(n - 1, k) * bell(k) for k in range(n))
 
 
 @lru_cache(maxsize=None)
-def fubini(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
+    """Stirling numbers of the second kind; 0 for k outside 0..n."""
+    check_length(n)
     if n == k:
         return 1
     if k <= 0 or k > n:
@@ -90,6 +88,7 @@ def stirling2(n: int, k: int) -> int:
 def dudu_count(n: int) -> int:
     """Number of dudu-avoiding Dyck paths of semilength n, by the
     coefficient-extraction sum (no paths are generated)."""
+    check_length(n)
     if n == 0:
         return 1
     total = Fraction(0)
@@ -249,8 +248,7 @@ def closed_counts(pattern, cls: str, n: int) -> int:
     """
     if cls not in ("modasc", "prim"):
         raise ValueError(f"unknown class {cls!r}")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_length(n)
     fam = _family_for(pattern, cls)
     if n == 0:
         return 1
@@ -532,7 +530,7 @@ def modasc221_by_insertion(n: int) -> int:
         raise ValueError("length must be at least 1")
     total = 0
     for k in range(1, n + 1):
-        for w in iter_prim(k):
+        for w in generate_prim(k):
             try:
                 sites = active_sites_221(w)
             except ValueError:  # w contains 221

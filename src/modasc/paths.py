@@ -18,6 +18,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
+from .words import check_length
+
 _STEP_ORDER = str.maketrans("ud", "ab")  # sort with u before d
 
 
@@ -59,6 +61,7 @@ def path_sort_key(path: str) -> str:
 @lru_cache(maxsize=None)
 def generate_dyck(n: int) -> tuple[str, ...]:
     """All Dyck paths of semilength n, u-before-d order."""
+    check_length(n)
     if n == 0:
         return ("",)
     out = []
@@ -93,6 +96,7 @@ def generate_dudu_avoiders(n: int) -> tuple[str, ...]:
     >>> generate_dudu_avoiders(2)
     ('uudd', 'udud')
     """
+    check_length(n)
     if n == 0:
         return ("",)
     out = []

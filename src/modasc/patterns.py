@@ -50,10 +50,10 @@ Levels thus grow two steps at a time: level n is expanded from level
 n - 2 (level 1 from level 0), and only levels n - 2, n - 4, ... below it
 are built and cached.  `count_avoiders` counts lengths n - 1 and n from
 level n - 2 by popcount, building no word of either, and
-`sorted_avoider_keys` turns the children of level n - 2 straight into
-byte strings; neither caches level n - 1.  The lengths of the levels
-built or counted are kept in a small table of ints, so a repeated count
-searches nothing.
+`sorted_avoider_keys` (and `avoiders`, its tuples) turns the children of
+level n - 2 straight into byte strings; none caches level n - 1 or n.
+The lengths of the levels built or counted are kept in a small table of
+ints, so a repeated count searches nothing.
 
 The search follows a plan made once per pattern for a level or a count
 (`_plan`): each step of y is compared only with the earlier step of the
@@ -77,6 +77,7 @@ from .words import (
     _check_key_length,
     _children,
     _letters,
+    check_length,
     is_cayley,
     sorted_children,
 )
@@ -434,8 +435,7 @@ def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
     """The patterns as a set, after checking the class, the length and them."""
     if cls not in ("modasc", "prim"):
         raise ValueError(f"unknown class {cls!r}; expected 'modasc' or 'prim'")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_length(n)
     pats = frozenset(patterns)
     for y in pats:
         if not y:
@@ -446,21 +446,22 @@ def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
 
 
 def avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> list[Word]:
-    """All length-n members of the class avoiding every given pattern.
+    """All length-n members of the class avoiding every given pattern, in
+    lexicographic order: the tuples of `sorted_avoider_keys`.
 
     >>> avoiders(3, [(1, 2, 2)])
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 3)]
     """
-    return sorted(_avoider_level(n, _checked(n, patterns, cls), cls))
+    return list(map(tuple, sorted_avoider_keys(n, patterns, cls)))
 
 
 def sorted_avoider_keys(
     n: int, patterns: Iterable[Word], cls: str = "modasc"
 ) -> list[bytes]:
-    """`avoiders(n, patterns, cls)` as byte strings, one byte per letter,
-    expanded from the parents at level n - 1 by `words.sorted_children`;
-    levels n - 1 and n are not cached.  Raises ValueError unless
-    n <= `words.KEY_CAP`, before any level is built.
+    """The length-n avoiders of every given pattern in the class as sorted
+    byte strings, expanded from the parents at level n - 1 by
+    `words.sorted_children`; levels n - 1 and n are not cached.  Raises
+    ValueError unless n <= `words.KEY_CAP`, before any level is built.
 
     >>> [list(k) for k in sorted_avoider_keys(3, [(1, 2, 2)])]
     [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 3]]
@@ -583,12 +584,16 @@ def grow_perms(n: int, name: str) -> list[Perm]:
     >>> grow_perms(3, "omega"), len(grow_perms(4, "32-1"))
     ([(1, 3, 2), (1, 2, 3)], 15)
     """
+    check_length(n)
+    if name not in ("omega", "32-1"):
+        raise ValueError(f"unknown permutation class {name!r}; expected 'omega' or '32-1'")
+    omega = name == "omega"
     level: list[Perm] = [()]
     for size in range(1, n + 1):
         grown = []
         for p in level:
             bottoms = {b for t, b in zip(p, p[1:]) if t > b}
-            floor = {"omega": 2 if p else 1, "32-1": max(bottoms, default=0) + 1}[name]
+            floor = (2 if p else 1) if omega else max(bottoms, default=0) + 1
             grown += [tuple(v + (v >= a) for v in p) + (a,)
                       for a in range(floor, size + 1) if a not in bottoms]
         level = grown

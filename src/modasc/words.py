@@ -17,9 +17,9 @@ with 1 <= a < l in the first range for the primitive words.  A letter
 a <= l is appended as it is; a larger one is a new value, appended after
 every old letter >= a is bumped up by one.  `_letters` states the rule,
 `_children` applies it to a word and `count_level` to the labels alone.
-`_level` (and `iter_modasc`, `iter_prim`) keep the generation order,
-which from n = 4 on is not lexicographic, in an unbounded cache.
-`sorted_keys` expands the cached level n - 2 straight into byte strings,
+`_level` caches, in generation order (not lexicographic from n = 4 on),
+only the levels that are expanded further: every level handed out comes
+from `sorted_keys`, which expands the cached level n - 2 into byte strings,
 one byte per letter (so n <= KEY_CAP = 255), expands those again into
 level n, and sorts it; levels n - 1 and n are never cached and never
 held as tuples.  The expansion (`_child_keys`) makes each child by one
@@ -58,6 +58,12 @@ ENDOFUNCTION_CAP = 8
 
 class ConsistencyError(RuntimeError):
     """An internal invariant that should hold by theorem was violated."""
+
+
+def check_length(n: int) -> None:
+    """Raise ValueError if the length n is negative."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
 
 
 def parse_word(text: str) -> Word:
@@ -259,8 +265,7 @@ def count_level(n: int, prim: bool) -> int:
     >>> [count_level(n, True) for n in range(7)]
     [1, 1, 1, 2, 5, 16, 61]
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_length(n)
     labels = Counter({(0, 0): 1})
     for _ in range(n):
         grown: Counter[tuple[int, int]] = Counter()
@@ -274,28 +279,13 @@ def count_level(n: int, prim: bool) -> int:
     return sum(labels.values())
 
 
-def iter_modasc(n: int) -> Iterator[Word]:
-    """Stream the modified ascent sequences of length n in generation order."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return iter(_level(n, False))
-
-
-def iter_prim(n: int) -> Iterator[Word]:
-    """Stream the primitive modified ascent sequences of length n."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return iter(_level(n, True))
-
-
 #: Largest length whose words fit in byte strings: a letter is at most n.
 KEY_CAP = 255
 
 
 def _check_key_length(n: int) -> None:
     """Raise ValueError unless 0 <= n <= KEY_CAP."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    check_length(n)
     if n > KEY_CAP:
         raise ValueError(f"length {n} exceeds {KEY_CAP}: a letter must fit in a byte")
 

@@ -18,6 +18,25 @@ def test_all_suites_pass_at_small_depth():
     assert len({r.tag for r in results}) == len(results)
 
 
+def test_all_suites_build_no_level_above_n_minus_2(monkeypatch):
+    # Every level a check walks is expanded from the cached level n - 2,
+    # and the level it walks is not cached.
+    built = []
+    for module, name in ((words, "_level"), (patterns, "_avoider_level")):
+        level = getattr(module, name)
+        level.cache_clear()
+
+        def spy(n, *args, level=level):
+            built.append(n)
+            return level(n, *args)
+
+        monkeypatch.setattr(module, name, spy)
+    patterns._COUNTS.clear()
+    results = checks.run_suite("all", checks.Caps(6))
+    assert [(r.tag, r.witness) for r in results if not r.passed] == []
+    assert max(built) == 4
+
+
 def test_named_suites_are_subsets():
     all_tags = {r.tag for r in checks.run_suite("all", SMALL)}
     for name in ("bijections", "transport", "equivalences", "identities"):

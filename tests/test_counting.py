@@ -1,6 +1,6 @@
 import pytest
 
-from modasc import checks, counting, patterns
+from modasc import checks, counting, paths, patterns
 from modasc.series import IntSeries
 
 # frozen small prefixes; every value here was reproduced by at least two
@@ -20,12 +20,34 @@ def test_named_sequences():
         assert counting.bell(n) == BELL[n]
         assert counting.fibonacci(n) == FIBONACCI[n]
     assert counting.stirling2(4, 2) == 7
-    assert counting.fubini(3) == 13
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (paths.generate_dyck, (-1,)),
+        (paths.generate_dudu_avoiders, (-1,)),
+        (patterns.grow_perms, (-1, "omega")),
+        (patterns.generate_omega, (-1,)),
+        (patterns.grow_perms, (0, "bogus")),
+        (patterns.grow_perms, (3, "bogus")),
+        (counting.motzkin, (-1,)),
+        (counting.fibonacci, (-1,)),
+        (counting.bell, (-1,)),
+        (counting.dudu_count, (-1,)),
+        (counting.stirling2, (-1, -1)),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_bad_lengths_and_names_raise(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_stirling_row():
     assert [counting.stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
     assert sum(counting.stirling2(6, k) for k in range(7)) == counting.bell(6)
+    assert counting.stirling2(5, -1) == counting.stirling2(5, 6) == counting.stirling2(0, -1) == 0
 
 
 def test_dudu_count():

@@ -27,7 +27,7 @@ def test_chains_worked_example():
 def test_standardize_omega_roundtrip():
     for n in range(8):
         seen = set()
-        for x in words.iter_prim(n):
+        for x in words.generate_prim(n):
             p = maps.standardize(x)
             assert patterns.in_omega(p)
             assert maps.omega_to_prim(p) == x
@@ -52,7 +52,7 @@ def test_burge_worked_examples():
 
 def test_burge_ascending_hits_omega():
     for n in range(7):
-        image = {maps.burge_fishburn(x, "ascending") for x in words.iter_prim(n)}
+        image = {maps.burge_fishburn(x, "ascending") for x in words.generate_prim(n)}
         assert image == set(patterns.generate_omega(n))
 
 

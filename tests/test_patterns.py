@@ -42,13 +42,9 @@ def test_avoiders_match_naive_filter():
     cases = [("122",), ("212",), ("2321",), ("312",), ("11",), ("122", "212")]
     for texts in cases:
         ys = tuple(patterns.parse_pattern(t) for t in texts)
-        for cls, gen in (("modasc", words.iter_modasc), ("prim", words.iter_prim)):
+        for cls, gen in (("modasc", words.generate_modasc), ("prim", words.generate_prim)):
             for n in range(6):
-                naive = sorted(
-                    x
-                    for x in gen(n)
-                    if not any(patterns.contains(x, y) for y in ys)
-                )
+                naive = [x for x in gen(n) if not any(patterns.contains(x, y) for y in ys)]
                 assert naive == patterns.avoiders(n, ys, cls), (texts, cls, n)
 
 
@@ -59,6 +55,16 @@ def test_avoiders_rejects_bad_input():
         patterns.avoiders(3, [()])
     with pytest.raises(ValueError):
         patterns.avoiders(-1, [(1, 2)])
+
+
+def test_avoiders_does_not_cache_the_level_it_returns():
+    pats = frozenset([(2, 3, 2, 1)])
+    patterns._avoider_level.cache_clear()
+    assert len(patterns.avoiders(6, pats)) == 203
+    # a cached level 6 would be a hit; a miss means it was never kept
+    misses = patterns._avoider_level.cache_info().misses
+    patterns._avoider_level(6, pats, "modasc")
+    assert patterns._avoider_level.cache_info().misses > misses
 
 
 def test_count_avoiders_rejects_bad_input():
@@ -83,7 +89,7 @@ def test_containment_hereditary():
     # is what justifies pruning the generation tree at the first occurrence
     y = (2, 3, 1)
     for n in range(1, 6):
-        for x in words.iter_modasc(n):
+        for x in words.generate_modasc(n):
             if patterns.contains(x, y):
                 for c in words._children(x, False):
                     assert patterns.contains(c, y)

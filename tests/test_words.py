@@ -13,7 +13,7 @@ from hypothesis import strategies as st_
 
 import modasc
 from modasc import cli, patterns, words
-from modasc.counting import binomial_transform_count, fubini
+from modasc.counting import binomial_transform_count
 from modasc.series import IntSeries
 
 # counts of modified ascent sequences and of the primitive ones, n = 0..9,
@@ -368,11 +368,12 @@ def test_generate_modasc_order():
 
 
 def test_generation_matches_endofunction_oracle():
-    for n in range(6):
+    # [n]^n in lexicographic order, filtered, is each level in sorted order
+    for n, fubini in enumerate([1, 1, 3, 13, 75, 541]):  # OEIS A000670
         cayley = list(words.iter_cayley(n))
-        assert len(cayley) == fubini(n)
-        assert {x for x in cayley if words.is_modasc(x)} == set(words.iter_modasc(n))
-        assert {x for x in cayley if words.is_prim(x)} == set(words.iter_prim(n))
+        assert len(cayley) == fubini
+        assert [x for x in cayley if words.is_modasc(x)] == words.generate_modasc(n)
+        assert [x for x in cayley if words.is_prim(x)] == words.generate_prim(n)
 
 
 def test_iter_cayley_cap():
@@ -389,7 +390,7 @@ def test_collapse_flats_example():
 
 def test_collapse_flats_roundtrip_small():
     for n in range(1, 7):
-        for x in words.iter_modasc(n):
+        for x in words.generate_modasc(n):
             d = words.collapse_flats(x)
             assert words.is_prim(d.primitive)
             assert words.insert_flats(d) == x
