@@ -11,96 +11,67 @@ set partitions, permutation classes and Dyck paths, and cross-checks
 every closed formula and generating function against brute force.
 """
 
-from .counting import (
-    NoClosedFormError,
-    ascent_distribution,
-    binomial_transform_count,
-    closed_counts,
-    formula_counts,
-    has_closed_form,
-    ogf_substitute,
-    oracle_counts,
-    p_coefficients,
-    special_series,
-    stirling_identity_check,
-)
-from .maps import (
-    burge_fishburn,
-    chains,
-    claesson,
-    claesson_inverse,
-    modasc112_to_composition,
-    modasc122_to_partition,
-    omega_to_prim,
-    phi_312,
-    phi_inverse,
-    standardize,
-)
-from .paths import avoids_dudu, decompose_returns, generate_dudu_avoiders
-from .patterns import (
-    avoiders,
-    contains,
-    contains_special,
-    count_avoiders,
-    in_omega,
-)
-from .series import IntSeries
-from .words import (
-    ConsistencyError,
-    collapse_flats,
-    format_word,
-    generate_modasc,
-    generate_prim,
-    insert_flats,
-    is_cayley,
-    is_modasc,
-    is_prim,
-    parse_word,
-    statistics,
-)
+import importlib
+
+#: Each submodule and the names the package re-exports from it.  No
+#: submodule is imported until one of its names, or the submodule
+#: itself, is first read from the package (PEP 562), so `modasc count`
+#: loads only `cli`, `words` and `patterns`.
+_EXPORTS = {
+    "checks": (),
+    "cli": (),
+    "counting": (
+        "NoClosedFormError",
+        "ascent_distribution",
+        "binomial_transform_count",
+        "closed_counts",
+        "formula_counts",
+        "has_closed_form",
+        "ogf_substitute",
+        "oracle_counts",
+        "p_coefficients",
+        "special_series",
+        "stirling_identity_check",
+    ),
+    "maps": (
+        "burge_fishburn",
+        "chains",
+        "claesson",
+        "claesson_inverse",
+        "modasc112_to_composition",
+        "modasc122_to_partition",
+        "omega_to_prim",
+        "phi_312",
+        "phi_inverse",
+        "standardize",
+    ),
+    "paths": ("avoids_dudu", "decompose_returns", "generate_dudu_avoiders"),
+    "patterns": ("avoiders", "contains", "contains_special", "count_avoiders", "in_omega"),
+    "series": ("IntSeries",),
+    "words": (
+        "ConsistencyError",
+        "collapse_flats",
+        "format_word",
+        "generate_modasc",
+        "generate_prim",
+        "insert_flats",
+        "is_cayley",
+        "is_modasc",
+        "is_prim",
+        "parse_word",
+        "statistics",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "IntSeries",
-    "NoClosedFormError",
-    "ascent_distribution",
-    "avoiders",
-    "avoids_dudu",
-    "binomial_transform_count",
-    "burge_fishburn",
-    "chains",
-    "claesson",
-    "claesson_inverse",
-    "closed_counts",
-    "collapse_flats",
-    "contains",
-    "contains_special",
-    "count_avoiders",
-    "decompose_returns",
-    "format_word",
-    "formula_counts",
-    "generate_dudu_avoiders",
-    "generate_modasc",
-    "generate_prim",
-    "has_closed_form",
-    "in_omega",
-    "insert_flats",
-    "is_cayley",
-    "is_modasc",
-    "is_prim",
-    "modasc112_to_composition",
-    "modasc122_to_partition",
-    "ogf_substitute",
-    "omega_to_prim",
-    "oracle_counts",
-    "p_coefficients",
-    "parse_word",
-    "phi_312",
-    "phi_inverse",
-    "special_series",
-    "standardize",
-    "statistics",
-    "stirling_identity_check",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from . import counting, maps, paths, patterns, words
 from .series import IntSeries
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Every word, permutation and set-partition check to length `words`;
     paths and the partition identity three further, to at most 12."""
 
@@ -41,8 +39,7 @@ class Caps:
         return min(self.words + 3, 12)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     tag: str
     description: str
     passed: bool

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 import time
 
-from . import checks, counting, patterns, words
+# `table`, `verify`, `export` and `experiment` import the rest of the
+# package when they run, so `count` and `generate` load only these two.
+from . import patterns, words
 
 DEFAULT_CAP = 10
 
@@ -35,6 +36,10 @@ _ONE_DIGIT = bytes(range(1, 10))
 _DIGITS = bytes.maketrans(_ONE_DIGIT, b"123456789")
 
 EXPERIMENTS = ("modasc122-vs-211", "modasc211-vs-1223")
+
+#: The names of `checks.SUITES`, spelled out so that building the parser
+#: does not import `checks`.
+SUITE_NAMES = ("all", "bijections", "equivalences", "identities", "transport")
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -165,6 +170,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import checks
+
     _check_cap(args.n, args.cap)
     kinds = set(args.which) | ({"quoted"} if "golden" in args.which else set())
     comparisons = failures = 0
@@ -177,6 +184,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     _check_cap(args.n, args.cap)
     caps = checks.Caps(args.n)
     started = time.monotonic()
@@ -200,6 +209,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    import json
+
+    from . import counting
+
     text, cls = _parse_label(args.label)
     _check_length(args.n)
     closed = counting.has_closed_form(text, cls)
@@ -228,6 +241,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from . import counting
+
     _check_cap(args.order, args.cap, "order")
     n_max = args.order
     if args.check == "modasc122-vs-211":
@@ -301,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("verify", help="run the named check suites")
-    p.add_argument("--suite", default="all", choices=sorted(checks.SUITES))
+    p.add_argument("--suite", default="all", choices=SUITE_NAMES)
     p.add_argument("--n", type=int, default=8,
                    help="word-length depth; paths and partitions scale with it")
     p.set_defaults(fn=cmd_verify)

@@ -18,11 +18,10 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import patterns as _patterns
 from .series import IntSeries
@@ -153,8 +152,7 @@ FAMILIES: dict[str, Callable[[int], int]] = {
 }
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     patterns: tuple[str, ...]
     modasc: str | None  # family key, None when only numeric data is known
     prim: str | None
@@ -315,16 +313,6 @@ def is_primitive_pattern(pattern) -> bool:
     """
     word = parse_word(pattern) if isinstance(pattern, str) else tuple(pattern)
     return not has_flat_steps(word)
-
-
-#: Patterns whose full-class counts are the binomial transform of their
-#: primitive counts (single-pattern Table 1 entries with no flat step).
-TRANSFORMABLE = tuple(
-    p
-    for row in TABLE1
-    for p in row.patterns
-    if row.prim is not None and is_primitive_pattern(p)
-)
 
 
 # ---------------------------------------------------------------------------

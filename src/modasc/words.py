@@ -43,9 +43,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 Word = tuple[int, ...]
 
@@ -79,9 +78,12 @@ def parse_word(text: str) -> Word:
         parts = text.split()
     else:
         parts = list(text)
-    word = tuple(int(p) for p in parts)
-    if any(v < 1 for v in word):
-        raise ValueError(f"word values must be positive: {text!r}")
+    try:
+        word = tuple(int(p) for p in parts)
+        if min(word) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"word letters must be positive integers: {text!r}") from None
     return word
 
 
@@ -391,8 +393,7 @@ def iter_cayley(n: int) -> Iterator[Word]:
             yield w
 
 
-@dataclass(frozen=True)
-class FlatDecomposition:
+class FlatDecomposition(NamedTuple):
     """A word split into its primitive core and per-letter multiplicities."""
 
     primitive: Word

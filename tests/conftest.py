@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import settings
 
@@ -15,7 +13,7 @@ def broken_tables(monkeypatch):
     modasc, the last pinned 111/modasc value and the last quoted 221/modasc
     value."""
     table1 = list(counting.TABLE1)
-    table1[0] = dataclasses.replace(table1[0], modasc="powers_of_two")
+    table1[0] = table1[0]._replace(modasc="powers_of_two")
     monkeypatch.setattr(counting, "TABLE1", tuple(table1))
     table2 = dict(counting.TABLE2)
     table2[("111", "modasc")] = (1, 2, 4, 10, 29, 97, 367, 1551)

@@ -16,6 +16,15 @@ P14 = (1, 11, 12, 14, 2, 5, 3, 7, 13, 8, 6, 4, 10, 9)
 X15 = words.parse_word("1 2 3 4 3 2 5 6 1 7 6 1 8 9 7")
 PATH15 = "uuududduuudddd" + "uududd" + "uuuddudd"
 
+#: Patterns whose full-class counts are the binomial transform of their
+#: primitive counts (single-pattern Table 1 entries with no flat step).
+TRANSFORMABLE = tuple(
+    p
+    for row in counting.TABLE1
+    for p in row.patterns
+    if row.prim is not None and counting.is_primitive_pattern(p)
+)
+
 
 def _report(num: int, label: str, failures: list) -> None:
     verdict = "PASS" if not failures else "FAIL"
@@ -111,7 +120,8 @@ def test_criterion_6_series_identities():
         want = 1 if n == 0 else sum(k ** (n - k) for k in range(1, n + 1))
         if modasc122[n] != want:
             failures.append(("modasc 122 series", n))
-    for text in counting.TRANSFORMABLE:
+    assert "112" not in TRANSFORMABLE and "132" in TRANSFORMABLE
+    for text in TRANSFORMABLE:
         prim = {k: counting.closed_counts(text, "prim", k) for k in range(order + 1)}
         series = counting.ogf_substitute(
             counting.IntSeries([prim[k] for k in range(order + 1)], order), order

@@ -182,6 +182,21 @@ def test_count_rejects_bad_avoid(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--avoid", "1a2"],
+        ["generate", "--n", "3", "--avoid", "12,1a2"],
+        ["export", "--label", "1a2-modasc", "--n", "3"],
+    ],
+)
+def test_letters_that_are_not_integers_are_named(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: word letters must be positive integers: '1a2'\n"
+
+
 def test_count_cayley(capsys):
     code, out, _ = run(capsys, ["count", "--class", "cayley", "--n", "4"])
     assert code == 0

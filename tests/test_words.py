@@ -324,12 +324,15 @@ def test_generate_caches_levels_below_n(capsys, monkeypatch, cls):
     assert len(lines) == words.count_level(9, cls == "prim")
 
 
-def test_traced_enumerate_reads_no_null():
+@pytest.mark.parametrize("workload", ["avoid", "enumerate"])
+def test_traced_pass_reads_no_null(workload):
     # A traced pass that loses a cache, or fills one with something other
     # than tuples of words, reads null in its counters and still exits 0.
+    # In both workloads the tracer is built before `checks` and `counting`
+    # are first imported.
     child = pathlib.Path(__file__).parents[1] / "benchmark" / "child.py"
     done = subprocess.run(
-        [sys.executable, str(child), "enumerate", "0", "0", "1"],
+        [sys.executable, str(child), workload, "0", "0", "1"],
         capture_output=True,
         text=True,
         timeout=120,
