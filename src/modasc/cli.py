@@ -97,7 +97,7 @@ def cmd_generate(args) -> int:
         _check_cayley(args.n, args.avoid)
     _check_cap(args.n, args.cap)
     if args.cls == "cayley":
-        out = sorted(words.iter_cayley(args.n))
+        out = sorted(map(bytes, words.iter_cayley(args.n)))
     else:
         try:
             if args.avoid is not None:
@@ -112,16 +112,16 @@ def cmd_generate(args) -> int:
 
 
 def _write_words(out: list, n: int) -> None:
-    """Print the words of length n in `out` (tuples or byte strings), one
-    per line in `format_word`'s form, WRITE_CHUNK words to a write.
-    Consumes `out`, which is empty on return: it is reversed once and
-    each chunk is cut off its end, so a chunk's words are freed once
-    written and the list shrinks as it goes.
+    """Print the words of length n in `out` (byte strings, one byte per
+    letter), one per line in `format_word`'s form, WRITE_CHUNK words to
+    a write.  Consumes `out`, which is empty on return: it is reversed
+    once and each chunk is cut off its end, so a chunk's words are freed
+    once written and the list shrinks as it goes.
 
-    A chunk of byte strings whose letters are all 1..9 is joined, mapped
-    to ASCII digits by one `bytes.translate` and interleaved with the
-    separators (n - 1 spaces and a newline per word); any other chunk,
-    and every chunk at n = 0, is formatted letter by letter by `%d`.
+    A chunk whose letters are all 1..9 is joined, mapped to ASCII digits
+    by one `bytes.translate` and interleaved with the separators (n - 1
+    spaces and a newline per word); any other chunk, and every chunk at
+    n = 0, is formatted letter by letter by `%d`.
     """
     line = " ".join(["%d"] * n) + "\n"
     gaps = b" " * (n - 1) + b"\n"
@@ -130,7 +130,7 @@ def _write_words(out: list, n: int) -> None:
         chunk = out[-WRITE_CHUNK:]
         del out[-WRITE_CHUNK:]
         chunk.reverse()
-        if n and isinstance(chunk[0], bytes):
+        if n:
             joined = b"".join(chunk)
             if not joined.translate(None, _ONE_DIGIT):
                 text = bytearray(2 * len(joined))
@@ -158,14 +158,17 @@ def cmd_count(args) -> int:
             return patterns.count_avoiders(n, pats, args.cls)
         return words.count_level(n, args.cls == "prim")
 
-    if args.n is not None:
-        print(one(args.n))
-    elif pats:
-        for n, c in enumerate(patterns.count_avoiders_upto(top, pats, args.cls)):
-            print(n, c)
-    else:
-        for n in range(top + 1):
-            print(n, one(n))
+    try:
+        if args.n is not None:
+            print(one(args.n))
+        elif pats:
+            for n, c in enumerate(patterns.count_avoiders_upto(top, pats, args.cls)):
+                print(n, c)
+        else:
+            for n in range(top + 1):
+                print(n, one(n))
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     return 0
 
 

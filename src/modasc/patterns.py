@@ -2,14 +2,12 @@
 
 A classical pattern is itself a Cayley permutation; a word contains it
 if some subsequence is order isomorphic to it, where equalities must be
-matched by equalities.  Three special patterns on permutations are
+matched by equalities.  Two special patterns on permutations are
 supported by name:
 
 * ``omega``  - an adjacent descent p_i > p_{i+1} whose bottom value is
   followed, at least two positions later, by the next smaller value
   (p_{i+1} = p_j + 1).
-* ``zeta``   - contained exactly by the permutations that do not start
-  with 1.
 * ``32-1``   - an adjacent descent followed, at least two positions
   later, by a value below both legs (p_i > p_{i+1} > p_k).
 
@@ -52,6 +50,8 @@ are built and cached.  `count_avoiders` counts lengths n - 1 and n from
 level n - 2 by popcount, building no word of either, and
 `sorted_avoider_keys` (and `avoiders`, its tuples) turns the children of
 level n - 2 straight into byte strings; none caches level n - 1 or n.
+Every level, cached or handed out, is expanded by `words._child_keys`,
+so a length above `words.KEY_CAP` is refused before any level is built.
 The lengths of the levels built or counted are kept in a small table of
 ints, so a repeated count searches nothing.
 
@@ -75,11 +75,10 @@ from typing import Iterable, Iterator
 from .words import (
     Word,
     _check_key_length,
-    _children,
+    _child_keys,
     _letters,
     check_length,
     is_cayley,
-    sorted_children,
 )
 
 Perm = tuple[int, ...]
@@ -405,21 +404,18 @@ def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     `_COUNTS`."""
     if n == 0:
         return ((),)
-    prim = cls == "prim"
-    level: list[Word] = []
-    parents = 0
-    for w, bad in _parents(n, pats, cls):
-        parents += 1
-        level += _children(w, prim, bad)
-    _COUNTS[n - 1, pats, cls] = parents
+    parents = list(_parents(n, pats, cls))
+    level = tuple(map(tuple, _child_keys(parents, cls == "prim")))
+    _COUNTS[n - 1, pats, cls] = len(parents)
     _COUNTS[n, pats, cls] = len(level)
-    return tuple(level)
+    return level
 
 
-def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word, int]]:
+def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word | bytes, int]]:
     """The avoiders of length n - 1 (n >= 1), each with the letters (as
     bits) its children may not end with: the children of the cached level
-    n - 2 (level 0 itself for n = 1), which are not cached."""
+    n - 2 (level 0 itself for n = 1) as byte strings, which are not
+    cached."""
     plans = [_plan(y) for y in pats]
     prim = cls == "prim"
     if n == 1:
@@ -427,15 +423,16 @@ def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word, in
     return (
         (c, below[c[-1]])
         for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), plans, prim)
-        for c in _children(g, prim, bad)
+        for c in _child_keys(((g, bad),), prim)
     )
 
 
 def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
-    """The patterns as a set, after checking the class, the length and them."""
+    """The patterns as a set, after checking the class, the length (at
+    most `words.KEY_CAP`) and them."""
     if cls not in ("modasc", "prim"):
         raise ValueError(f"unknown class {cls!r}; expected 'modasc' or 'prim'")
-    check_length(n)
+    _check_key_length(n)
     pats = frozenset(patterns)
     for y in pats:
         if not y:
@@ -460,17 +457,17 @@ def sorted_avoider_keys(
 ) -> list[bytes]:
     """The length-n avoiders of every given pattern in the class as sorted
     byte strings, expanded from the parents at level n - 1 by
-    `words.sorted_children`; levels n - 1 and n are not cached.  Raises
-    ValueError unless n <= `words.KEY_CAP`, before any level is built.
+    `words._child_keys` and sorted; levels n - 1 and n are not cached.
+    Raises ValueError unless n <= `words.KEY_CAP`, before any level is
+    built.
 
     >>> [list(k) for k in sorted_avoider_keys(3, [(1, 2, 2)])]
     [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 3]]
     """
     pats = _checked(n, patterns, cls)
-    _check_key_length(n)
     if n == 0:
         return [b""]
-    return sorted_children(_parents(n, pats, cls), cls == "prim")
+    return sorted(_child_keys(_parents(n, pats, cls), cls == "prim"))
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:
@@ -478,7 +475,8 @@ def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int
     pattern, counted with length n - 1 from their grandparents: levels
     n - 2, n - 4, ... are built (and kept in the cache of
     `_avoider_level`), levels n - 1 and n are not.  A length counted or
-    built before is read from `_COUNTS`, with no search.
+    built before is read from `_COUNTS`, with no search.  Raises
+    ValueError unless n <= `words.KEY_CAP`, before any level is built.
 
     >>> [count_avoiders(n, [(2, 3, 2, 1)]) for n in range(8)]  # Bell numbers
     [1, 1, 2, 5, 15, 52, 203, 877]
@@ -543,8 +541,6 @@ def contains_special(p: Perm, name: str) -> bool:
     """Containment of one of the named special patterns in a permutation."""
     if not _is_permutation(p):
         raise ValueError(f"{p} is not a permutation")
-    if name == "zeta":
-        return bool(p) and p[0] != 1
     if name == "omega":
         pos = {v: i for i, v in enumerate(p)}
         for i in range(len(p) - 1):

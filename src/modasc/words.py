@@ -16,20 +16,20 @@ its maximum and its last letter, and the empty word has the label (0, 0):
 with 1 <= a < l in the first range for the primitive words.  A letter
 a <= l is appended as it is; a larger one is a new value, appended after
 every old letter >= a is bumped up by one.  `_letters` states the rule,
-`_children` applies it to a word and `count_level` to the labels alone.
-`_level` caches, in generation order (not lexicographic from n = 4 on),
+`_child_keys` applies it to words and `count_level` to the labels alone.
+`_child_keys` makes each child as a byte string, one byte per letter (so
+n <= KEY_CAP = 255), by one `bytes.translate` of the parent's key plus a
+byte 0, through a table per letter that writes the letter in place of
+the 0 and bumps the old letters; the tables of a parent are built once
+per (maximum, last letter) label.  `_level` caches, as the tuples of
+that step and in generation order (not lexicographic from n = 4 on),
 only the levels that are expanded further: every level handed out comes
-from `sorted_keys`, which expands the cached level n - 2 into byte strings,
-one byte per letter (so n <= KEY_CAP = 255), expands those again into
-level n, and sorts it; levels n - 1 and n are never cached and never
-held as tuples.  The expansion (`_child_keys`) makes each child by one
-`bytes.translate` of the parent's key plus a byte 0, through a table
-per letter that writes the letter in place of the 0 and bumps the old
-letters; the tables of a parent are built once per (maximum, last
-letter) label.  `generate_modasc` and `generate_prim` are its tuples.
-`patterns` builds its avoider levels by the same step, and sorts the
-last one by the same expansion (`sorted_children`), leaving out the
-letters a pattern forbids.
+from `sorted_keys`, which expands the cached level n - 2 into level
+n - 1, expands that again into level n, and sorts it; levels n - 1 and
+n are never cached and never held as tuples.  `generate_modasc` and
+`generate_prim` are its tuples.  `patterns` builds and hands out its
+avoider levels by the same step, leaving out the letters a pattern
+forbids.
 
 `statistics` returns a view whose fields (ascent tops, leftmost copies,
 the left-to-right and right-to-left minima and maxima, ascents and
@@ -232,32 +232,6 @@ def _letters(m: int, last: int, prim: bool) -> tuple[range, range]:
     return range(1, last if prim else last + 1), range(last + 1, m + 2)
 
 
-def _children(w: Word, prim: bool, bad: int = 0) -> Iterator[Word]:
-    """The children of w in generation order, leaving out every child
-    whose last letter a has bit a set in `bad`.
-
-    >>> list(_children((1, 3, 1, 2), False))
-    [(1, 3, 1, 2, 1), (1, 3, 1, 2, 2), (1, 4, 1, 2, 3), (1, 3, 1, 2, 4)]
-    >>> list(_children((1, 3, 1, 2), True, bad=1 << 4))
-    [(1, 3, 1, 2, 1), (1, 4, 1, 2, 3)]
-    """
-    kept, bumped = _letters(max(w, default=0), w[-1] if w else 0, prim)
-    for a in kept:
-        if not bad >> a & 1:
-            yield w + (a,)
-    for a in bumped:
-        if not bad >> a & 1:
-            yield tuple(v + 1 if v >= a else v for v in w) + (a,)
-
-
-@lru_cache(maxsize=None)
-def _level(n: int, prim: bool) -> tuple[Word, ...]:
-    """Level n of the generating tree above, in generation order."""
-    if n == 0:
-        return ((),)
-    return tuple(c for w in _level(n - 1, prim) for c in _children(w, prim))
-
-
 def count_level(n: int, prim: bool) -> int:
     """Number of modified ascent sequences of length n (primitive ones if
     `prim`), summed over the (max, last) labels of the rule above.
@@ -295,7 +269,13 @@ def _check_key_length(n: int) -> None:
 def _child_keys(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> Iterator[bytes]:
     """The children of the (w, bad) pairs of `parents`, in generation
     order, as byte strings, leaving out below each w the letters a with
-    bit a set in `bad`.  A parent w is a word or its byte string.
+    bit a set in `bad`.  A parent w is a word of length at most
+    KEY_CAP - 1 or its byte string.
+
+    >>> [tuple(k) for k in _child_keys([((1, 3, 1, 2), 0)], False)]
+    [(1, 3, 1, 2, 1), (1, 3, 1, 2, 2), (1, 4, 1, 2, 3), (1, 3, 1, 2, 4)]
+    >>> [tuple(k) for k in _child_keys([((1, 3, 1, 2), 1 << 4), (b"\\x01\\x02", 0)], True)]
+    [(1, 3, 1, 2, 1), (1, 4, 1, 2, 3), (1, 2, 1), (1, 2, 3)]
 
     Each child is the parent's key with a byte 0 appended, put through
     one `bytes.translate` table: the table of a letter a maps 0 to a
@@ -322,30 +302,22 @@ def _child_keys(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> Iter
         yield from map(key.translate, tables)
 
 
-def sorted_children(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> list[bytes]:
-    """The children of the (w, bad) pairs of `parents` (words w, or
-    their byte strings, of length at most KEY_CAP - 1) as sorted byte
-    strings, leaving out below each w the letters a with bit a set in
-    `bad`; see `_child_keys`.
-
-    >>> [list(k) for k in sorted_children([((1, 2), 1 << 3)], False)]
-    [[1, 2, 1], [1, 2, 2]]
-    >>> [list(k) for k in sorted_children([((1, 3, 1, 2), 1 << 2)], False)]
-    [[1, 3, 1, 2, 1], [1, 3, 1, 2, 4], [1, 4, 1, 2, 3]]
-    >>> [list(k) for k in sorted_children([(b"\\x01\\x02", 0)], True)]
-    [[1, 2, 1], [1, 2, 3]]
-    """
-    return sorted(_child_keys(parents, prim))
+@lru_cache(maxsize=None)
+def _level(n: int, prim: bool) -> tuple[Word, ...]:
+    """Level n of the generating tree above, in generation order: the
+    tuples of `_child_keys` over level n - 1."""
+    if n == 0:
+        return ((),)
+    return tuple(map(tuple, _child_keys(((w, 0) for w in _level(n - 1, prim)), prim)))
 
 
 def sorted_keys(n: int, prim: bool) -> list[bytes]:
     """Level n (the primitive words if `prim`) as byte strings, one byte
     per letter, in lexicographic order.  Levels n - 1 and n are expanded
     as byte strings from the cached level n - 2 (level 0 itself for
-    n = 1) by `_child_keys` and `sorted_children`; neither is cached or
-    held as tuples.  Byte strings of equal length sort like the tuples.
-    Raises ValueError unless 0 <= n <= KEY_CAP, before any level is
-    built.
+    n = 1) by `_child_keys`; neither is cached or held as tuples.  Byte
+    strings of equal length sort like the tuples.  Raises ValueError
+    unless 0 <= n <= KEY_CAP, before any level is built.
 
     >>> sorted_keys(3, True)
     [b'\\x01\\x02\\x01', b'\\x01\\x02\\x03']
@@ -356,7 +328,7 @@ def sorted_keys(n: int, prim: bool) -> list[bytes]:
     parents = ((w, 0) for w in _level(max(n - 2, 0), prim))
     if n >= 2:
         parents = ((k, 0) for k in _child_keys(parents, prim))
-    return sorted_children(parents, prim)
+    return sorted(_child_keys(parents, prim))
 
 
 def generate_modasc(n: int) -> list[Word]:

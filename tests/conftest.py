@@ -7,6 +7,25 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
+@pytest.fixture(scope="session")
+def tuple_children():
+    """The tests' own expansion of a word w into its children, as tuples in
+    generation order, leaving out those whose last letter a has bit a set
+    in `bad`: the succession rule of `modasc.words`, written out again so
+    that it shares no code with the expansion it checks."""
+
+    def children(w, prim, bad=0):
+        m, last = max(w, default=0), w[-1] if w else 0
+        for a in range(1, last if prim else last + 1):
+            if not bad >> a & 1:
+                yield (*w, a)
+        for a in range(last + 1, m + 2):
+            if not bad >> a & 1:
+                yield (*(v + (v >= a) for v in w), a)
+
+    return children
+
+
 @pytest.fixture
 def broken_tables(monkeypatch):
     """One wrong entry in each numeric table: the TABLE1 family of 11 over

@@ -66,8 +66,8 @@ def test_write_words_matches_format_word(capsys):
         ([bytes((a,)) for a in range(1, 256)], 1),
         (digits(size + 1, 1), 1),
         ([b""], 0),
-        (sorted(words.iter_cayley(3)), 3),
-        ([(1, 12, 3), (9, 9, 9)], 3),
+        (sorted(map(bytes, words.iter_cayley(3))), 3),
+        ([bytes((1, 12, 3)), bytes((9, 9, 9))], 3),
     ]
     for out, n in cases:
         expected = "".join(words.format_word(w) + "\n" for w in out)
@@ -173,6 +173,9 @@ def test_count_upto_prim_with_avoid(capsys):
         (["count", "--class", "cayley", "--n", "3", "--avoid", ""],
          "--avoid needs --class modasc or prim"),
         (["generate", "--n", "3", "--avoid", ""], "a pattern must be nonempty"),
+        (["--cap", "300", "count", "--n", "256", "--avoid", "11"], "length 256 exceeds 255"),
+        (["--cap", "300", "count", "--class", "prim", "--upto", "256", "--avoid", "11"],
+         "length 256 exceeds 255"),
     ],
 )
 def test_count_rejects_bad_avoid(capsys, argv, message):

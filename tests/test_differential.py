@@ -57,14 +57,14 @@ def bits(mask):
     return {a for a in range(mask.bit_length()) if mask >> a & 1}
 
 
-def test_forbidden_letters_match_brute_force():
+def test_forbidden_letters_match_brute_force(tuple_children):
     # A child without its last letter is order isomorphic to its parent, so
     # on a parent that avoids y these are the letters whose child contains y.
     for n in range(6):
         for y in CAYLEY_PATTERNS:
             plans = [patterns._plan(y)]
             for w, bad, _ in patterns._grown(words._level(n, False), plans, False):
-                children = words._children(w, False)
+                children = tuple_children(w, False)
                 want = {c[-1] for c in children if brute_ends_with(c, y)}
                 assert bits(bad) == want, (w, y)
 
@@ -80,7 +80,7 @@ def brute_endings(x):
     }
 
 
-def test_child_step_matches_searching_the_child():
+def test_child_step_matches_searching_the_child(tuple_children):
     # The step of the grandparent count: the letters a child forbids come
     # from its parent's occurrences of y[:-1] and y[:-2], with no search of
     # the child itself.  The step reads the parent's label, not its class,
@@ -98,8 +98,8 @@ def test_child_step_matches_searching_the_child():
                     found = patterns._occurrences(w, plan[0])
                     below = patterns._child_masks(plan[0], *found, m, last, letters)
                     steps.append((y, plan, below))
-            for c in words._children(w, False):
-                kids = [(x[-1], brute_endings(x)) for x in words._children(c, False)]
+            for c in tuple_children(w, False):
+                kids = [(x[-1], brute_endings(x)) for x in tuple_children(c, False)]
                 for y, plan, below in steps:
                     [(_, searched, _)] = patterns._grown([c], plan, False)
                     got = bits(below[c[-1]])

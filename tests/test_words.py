@@ -239,10 +239,13 @@ def test_generated_levels_are_the_sorted_levels():
 
 
 @pytest.mark.parametrize("prim", [False, True])
-def test_sorted_children_matches_children(prim):
+def test_sorted_children_matches_children(prim, tuple_children):
     rng = random.Random(22)
+    reference = [()]
     for n in range(1, 9):
         level = words._level(n - 1, prim)
+        assert level == tuple(reference), (n - 1, prim)
+        reference = [c for w in reference for c in tuple_children(w, prim)]
         full = (1 << (n + 1)) - 1  # every letter 1..n forbidden
         odd = full // 3  # bits 0, 2, 4, ...
         # parents of one (max, last) label take turns between two
@@ -263,11 +266,12 @@ def test_sorted_children_matches_children(prim):
         for bads in masks:
             parents = list(zip(level, bads))
             want = sorted(
-                bytes(c) for w, bad in parents for c in words._children(w, prim, bad)
+                bytes(c) for w, bad in parents for c in tuple_children(w, prim, bad)
             )
-            assert words.sorted_children(parents, prim) == want, (n, prim, bads[:3])
+            assert sorted(words._child_keys(parents, prim)) == want, (n, prim, bads[:3])
             keyed = [(bytes(w), bad) for w, bad in parents]
-            assert words.sorted_children(keyed, prim) == want, (n, prim, bads[:3])
+            assert sorted(words._child_keys(keyed, prim)) == want, (n, prim, bads[:3])
+    assert words._level(8, prim) == tuple(reference)
 
 
 def test_sorted_levels_reject_negative_length():
@@ -288,8 +292,14 @@ def test_sorted_keys_reject_letters_beyond_a_byte():
     for prim in (False, True):
         with pytest.raises(ValueError):
             words.sorted_keys(words.KEY_CAP + 1, prim)
-    with pytest.raises(ValueError):
-        patterns.sorted_avoider_keys(words.KEY_CAP + 1, [(2, 3, 2, 1)])
+    for by_patterns in (
+        patterns.sorted_avoider_keys,
+        patterns.avoiders,
+        patterns.count_avoiders,
+        patterns.count_avoiders_upto,
+    ):
+        with pytest.raises(ValueError):
+            by_patterns(words.KEY_CAP + 1, [(2, 3, 2, 1)])
     assert words._level.cache_info().currsize == 0
     assert patterns._avoider_level.cache_info().currsize == 0
 
@@ -304,22 +314,22 @@ def test_generate_avoid_caches_levels_below_n(capsys):
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
 def test_generate_caches_levels_below_n(capsys, monkeypatch, cls):
-    words._level.cache_clear()
-    children = words._children
-    grown = []
+    level = words._level
+    level.cache_clear()
+    built = []
 
-    def spy(w, *args):
-        grown.append(len(w) + 1)
-        return children(w, *args)
+    def spy(n, prim):
+        built.append(n)
+        return level(n, prim)
 
-    monkeypatch.setattr(words, "_children", spy)
+    monkeypatch.setattr(words, "_level", spy)
     assert cli.main(["generate", "--class", cls, "--n", "9"]) == 0
-    info = words._level.cache_info()
+    info = level.cache_info()
     # levels 0..7: levels 8 and 9 are expanded as byte strings from
     # level 7, and no word of length 8 is built as a tuple
     assert info.currsize == 8
     assert info.hits + info.misses > 0
-    assert max(grown) == 7
+    assert max(built) == 7
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == words.count_level(9, cls == "prim")
 
