@@ -30,7 +30,6 @@ _EXPORTS = {
         "ogf_substitute",
         "oracle_counts",
         "p_coefficients",
-        "special_series",
         "stirling_identity_check",
     ),
     "maps": (

@@ -304,26 +304,26 @@ SERIES_ORDER = 20
 
 
 def check_series_f(caps: Caps) -> str | None:
-    return agree(range(SERIES_ORDER + 1), first_form=_series("F", SERIES_ORDER),
+    return agree(range(SERIES_ORDER + 1), first_form=counting.series_f(SERIES_ORDER).coeffs,
                  second_form=counting.series_f_second_form(SERIES_ORDER).coeffs)
 
 
 def check_series_prim122(caps: Caps) -> str | None:
-    f = counting.series_f_second_form(SERIES_ORDER)
     one_plus_t = IntSeries.one(SERIES_ORDER) + IntSeries.t(SERIES_ORDER)
-    return agree(range(SERIES_ORDER + 1), series=_series("PrimOGF122", SERIES_ORDER),
-                 product=(one_plus_t * f).coeffs, formula=counting.formula_counts("122", "prim", SERIES_ORDER),
+    return agree(range(SERIES_ORDER + 1), series=(one_plus_t * counting.series_f(SERIES_ORDER)).coeffs,
+                 product=(one_plus_t * counting.series_f_second_form(SERIES_ORDER)).coeffs,
+                 formula=counting.formula_counts("122", "prim", SERIES_ORDER),
                  oracle=counting.oracle_counts("122", "prim", caps.words))
 
 
 def check_series_modasc122(caps: Caps) -> str | None:
-    return agree(range(1, SERIES_ORDER + 1), series=_series("ModascOGF122", SERIES_ORDER),
+    return agree(range(1, SERIES_ORDER + 1), series=counting.series_modasc122(SERIES_ORDER).coeffs,
                  power_sum=counting.formula_counts("122", "modasc", SERIES_ORDER),
                  oracle=counting.oracle_counts("122", "modasc", caps.words))
 
 
 def check_series_g(caps: Caps) -> str | None:
-    return agree(range(caps.words), G=_series("G", SERIES_ORDER),
+    return agree(range(caps.words), G=counting.series_g(SERIES_ORDER).coeffs,
                  oracle_at_next=counting.oracle_counts("122", "prim", caps.words)[1:])
 
 
@@ -349,7 +349,7 @@ def check_transform_agreement(caps: Caps) -> str | None:
 
 def check_series_d(caps: Caps) -> str | None:
     order = max(SERIES_ORDER, caps.paths)
-    return agree(range(order + 1), series=_series("D", order),
+    return agree(range(order + 1), series=counting.series_d(order).coeffs,
                  coefficient_sum=[counting.dudu_count(n) for n in range(order + 1)],
                  generated=[len(paths.generate_dudu_avoiders(n)) for n in range(caps.paths + 1)])
 
@@ -357,13 +357,13 @@ def check_series_d(caps: Caps) -> str | None:
 def check_series_modasc312(caps: Caps) -> str | None:
     # quoted from length 0; a shifted quote would disagree, not pass
     _, quoted = counting.PRINTED_SEQUENCES[("312", "modasc")]
-    return agree(range(1, SERIES_ORDER + 1), series=_series("Modasc312", SERIES_ORDER),
+    return agree(range(1, SERIES_ORDER + 1), series=counting.series_modasc312(SERIES_ORDER).coeffs,
                  formula=counting.formula_counts("312", "modasc", SERIES_ORDER), quoted=quoted,
                  oracle=counting.oracle_counts("312", "modasc", caps.words))
 
 
 def check_series_motzkin(caps: Caps) -> str | None:
-    return agree(range(SERIES_ORDER + 1), fixed_point=_series("Motzkin_eq", SERIES_ORDER),
+    return agree(range(SERIES_ORDER + 1), fixed_point=counting.series_motzkin(SERIES_ORDER).coeffs,
                  recurrence=[counting.motzkin(n) for n in range(SERIES_ORDER + 1)])
 
 
@@ -421,10 +421,6 @@ class TableRow(NamedTuple):
     verdict: str  # "ok", "data" or "FAIL"
     detail: str
     comparisons: int
-
-
-def _series(name: str, order: int) -> tuple[int, ...]:
-    return counting.special_series(name, order).coeffs
 
 
 def agree(lengths: range, **routes: Sequence[int]) -> str | None:

@@ -6,7 +6,9 @@ against each other:
 
 * the oracle (explicit generation and filtering), `oracle_counts`,
 * a closed formula per pattern, `formula_counts`, and
-* a truncated power series.
+* a truncated power series, one of the paper's generating functions
+  `series_f` (with `series_f_second_form`), `series_modasc122`,
+  `series_g`, `series_d`, `series_modasc312` and `series_motzkin`.
 
 For a primitive pattern y the counts over the full class are the
 binomial transform of the counts over primitive words, equivalently the
@@ -278,6 +280,7 @@ def oracle_counts(pattern, cls: str, top: int) -> list[int]:
 
 def formula_counts(pattern, cls: str, top: int) -> list[int]:
     """`closed_counts` of one pattern, by length from 0 to `top`."""
+    check_length(top)
     return [closed_counts(pattern, cls, n) for n in range(top + 1)]
 
 
@@ -316,7 +319,8 @@ def is_primitive_pattern(pattern) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# special series
+# the generating functions of the 122 and 312 solutions, each truncated at
+# `order`; a negative order raises ValueError
 
 
 def _prod_term(order: int, k: int) -> IntSeries:
@@ -329,8 +333,12 @@ def _prod_term(order: int, k: int) -> IntSeries:
     return term
 
 
-def _series_F(order: int) -> IntSeries:
-    """F as the sum over k of prod_{j<=k} j t^2 / (1 - j t)."""
+def series_f(order: int) -> IntSeries:
+    """F as the sum over k of prod_{j<=k} j t^2 / (1 - j t).
+
+    >>> series_f(6).coeffs
+    (1, 0, 1, 1, 3, 7, 21)
+    """
     total = IntSeries.zero(order)
     for k in range(order // 2 + 1):
         total = total + _prod_term(order, k)
@@ -340,8 +348,8 @@ def _series_F(order: int) -> IntSeries:
 def series_f_second_form(order: int) -> IntSeries:
     """F as the sum over i of t^i / ((1 + t)^(i+1) (1 - i t)).
 
-    The second form of the series `special_series("F", order)` builds;
-    `checks.check_series_f` compares the two.
+    The second form of `series_f`; `checks.check_series_f` compares the
+    two.
     """
     one = IntSeries.one(order)
     t = IntSeries.t(order)
@@ -353,7 +361,9 @@ def series_f_second_form(order: int) -> IntSeries:
     return total
 
 
-def _series_modasc122(order: int) -> IntSeries:
+def series_modasc122(order: int) -> IntSeries:
+    """122-avoiding modified ascent sequences by length: the sum over k
+    of t^k / (1 - k t)."""
     one = IntSeries.one(order)
     t = IntSeries.t(order)
     total = IntSeries.zero(order)
@@ -362,7 +372,9 @@ def _series_modasc122(order: int) -> IntSeries:
     return total
 
 
-def _series_G(order: int) -> IntSeries:
+def series_g(order: int) -> IntSeries:
+    """G, the primitive 122 counts shifted down by one length: the sum
+    over k of prod_{j<=k} j t^2 / (1 - j t) times 1 / (1 - (k + 1) t)."""
     one = IntSeries.one(order)
     t = IntSeries.t(order)
     total = IntSeries.zero(order)
@@ -371,56 +383,47 @@ def _series_G(order: int) -> IntSeries:
     return total
 
 
-def _series_D(order: int) -> IntSeries:
-    one = IntSeries.one(order)
-    t = IntSeries.t(order)
-    d = one
-    for _ in range(order + 2):
-        nxt = one + t * d + (t * d * (t * d)).divide(one - (t * d - t))
-        if nxt == d:
+def _fixed_point(one: IntSeries, step: Callable[[IntSeries], IntSeries]) -> IntSeries:
+    """Apply `step` from `one` until the truncated series stops changing;
+    each step fixes at least one more coefficient."""
+    s = one
+    for _ in range(one.order + 2):
+        nxt = step(s)
+        if nxt == s:
             break
-        d = nxt
-    return d
+        s = nxt
+    return s
 
 
-def _series_motzkin(order: int) -> IntSeries:
-    one = IntSeries.one(order)
-    t = IntSeries.t(order)
-    m = one
-    for _ in range(order + 2):
-        nxt = one + t * m + t * t * m * m
-        if nxt == m:
-            break
-        m = nxt
-    return m
+def series_d(order: int) -> IntSeries:
+    """D = 1 + tD + (tD)^2 / (1 - tD + t), the dudu-avoiding Dyck paths
+    by semilength.
 
-
-def special_series(name: str, order: int) -> IntSeries:
-    """The generating functions appearing in the 122 and 312 solutions.
-
-    >>> special_series("D", 5).coeffs
+    >>> series_d(5).coeffs
     (1, 1, 2, 4, 10, 26)
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if name == "F":
-        return _series_F(order)
-    if name == "PrimOGF122":
-        one = IntSeries.one(order)
-        return (one + IntSeries.t(order)) * _series_F(order)
-    if name == "ModascOGF122":
-        return _series_modasc122(order)
-    if name == "G":
-        return _series_G(order)
-    if name == "D":
-        return _series_D(order)
-    if name == "Modasc312":
-        # 1 + t D(t) counts the 312-avoiding primitive words by length.
-        prim = IntSeries.one(order) + _series_D(order).shift(1)
-        return ogf_substitute(prim, order)
-    if name == "Motzkin_eq":
-        return _series_motzkin(order)
-    raise ValueError(f"unknown series {name!r}")
+    one = IntSeries.one(order)
+    t = IntSeries.t(order)
+
+    def step(d: IntSeries) -> IntSeries:
+        td = t * d
+        return one + td + (td * td).divide(one - (td - t))
+
+    return _fixed_point(one, step)
+
+
+def series_modasc312(order: int) -> IntSeries:
+    """312-avoiding modified ascent sequences by length: 1 + t D(t),
+    which counts the primitive ones, under t -> t/(1-t)."""
+    prim = IntSeries.one(order) + series_d(order).shift(1)
+    return ogf_substitute(prim, order)
+
+
+def series_motzkin(order: int) -> IntSeries:
+    """M = 1 + tM + t^2 M^2, the Motzkin numbers."""
+    one = IntSeries.one(order)
+    t = IntSeries.t(order)
+    return _fixed_point(one, lambda m: one + t * m + t * t * m * m)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +441,7 @@ def p_coefficients(n: int) -> tuple[int, ...]:
     block, joining a larger block or starting a new one does not.  Each
     partition of [n] is still counted on its own.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_length(n)
     if n > PARTITION_CAP:
         raise ValueError(f"partition enumeration capped at n <= {PARTITION_CAP}")
     if n == 0:

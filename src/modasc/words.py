@@ -31,8 +31,8 @@ n are never cached and never held as tuples.  `generate_modasc` and
 avoider levels by the same step, leaving out the letters a pattern
 forbids.
 
-`statistics` returns a view whose fields (ascent tops, leftmost copies,
-the left-to-right and right-to-left minima and maxima, ascents and
+`statistics` returns a view whose fields (ascent tops, the
+left-to-right and right-to-left minima and maxima, ascents and
 descents) are computed from the word when they are read, so a caller
 pays only for the fields it uses.  `is_modasc` reads none of them: it
 checks "ascent top if and only if leftmost copy" in one pass.
@@ -139,19 +139,7 @@ class WordStats:
         x = self.word
         return tuple((i + 1, v) for i, v in enumerate(x) if i == 0 or x[i - 1] < v)
 
-    @property
-    def nub(self) -> Marked:
-        """The leftmost copy of each value."""
-        seen: set[int] = set()
-        firsts = []
-        for i, v in enumerate(self.word, 1):
-            if v not in seen:
-                seen.add(v)
-                firsts.append((i, v))
-        return tuple(firsts)
-
     lrmin = _record_field(operator.lt, False, "Left-to-right minima.")
-    wlrmin = _record_field(operator.le, False, "Weak left-to-right minima.")
     lrmax = _record_field(operator.gt, False, "Left-to-right maxima.")
     wlrmax = _record_field(operator.ge, False, "Weak left-to-right maxima.")
     rlmin = _record_field(operator.lt, True, "Right-to-left minima.")
@@ -171,13 +159,12 @@ class WordStats:
 
 
 def statistics(x: Word) -> WordStats:
-    """Ascent tops, leftmost copies, the eight min/max statistics, and the
+    """Ascent tops, the left-to-right and right-to-left minima and maxima
+    (and their weak forms, save the weak left-to-right minima), and the
     ascent and descent counts of x, each computed when it is read.
 
-    The first letter is an ascent top by convention.  `nub` marks the
-    leftmost copy of each value 1..max; for Cayley permutations it has
-    exactly max(x) entries.  The result is a view of x with no equality
-    or hash; compare its fields, not the views.
+    The first letter is an ascent top by convention.  The result is a
+    view of x with no equality or hash; compare its fields, not the views.
     """
     return WordStats(x)
 

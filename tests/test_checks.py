@@ -181,20 +181,38 @@ def test_transport_checks_read_their_own_counts(monkeypatch, name, n, failing, w
     assert witnesses[tag] == text
 
 
-def test_second_form_of_f_is_the_product_route(monkeypatch):
-    # series.prim122's product route is (1 + t) times the second form of F,
-    # so a wrong second form fails it as well as series.F.
-    second_form = counting.series_f_second_form
+# Each series function, and the witness prefix of each check that fails
+# when its coefficient 4 is one too large.
+WRONG_SERIES = {
+    # series.prim122 multiplies both forms of F by (1 + t)
+    "series_f": {"series.F": "n=4: first_form ", "series.prim122": "n=4: series "},
+    "series_f_second_form": {"series.F": "n=4: first_form ", "series.prim122": "n=4: series "},
+    "series_modasc122": {"series.modasc122": "n=4: series "},
+    "series_g": {"series.G": "n=4: G "},
+    # series_modasc312 substitutes into 1 + t D(t), one length on
+    "series_d": {"series.D": "n=4: series ", "series.modasc312": "n=5: series "},
+    "series_modasc312": {"series.modasc312": "n=4: series "},
+    "series_motzkin": {"series.motzkin": "n=4: fixed_point "},
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SERIES)
+def test_a_wrong_series_fails_the_checks_that_read_it(monkeypatch, name):
+    # Coefficient 4 lies below SMALL.words, so series.G, which compares
+    # only lengths below it, reads the bumped coefficient too.
+    right = getattr(counting, name)
 
     def off_by_one(order):
-        coeffs = list(second_form(order).coeffs)
-        coeffs[7] += 1
+        coeffs = list(right(order).coeffs)
+        coeffs[4] += 1
         return IntSeries(coeffs)
 
-    monkeypatch.setattr(counting, "series_f_second_form", off_by_one)
+    monkeypatch.setattr(counting, name, off_by_one)
     witnesses = {r.tag: r.witness for r in checks.run_suite("identities", SMALL) if not r.passed}
-    assert set(witnesses) == {"series.F", "series.prim122"}
-    assert witnesses["series.prim122"].startswith("n=7: series ")
+    prefixes = WRONG_SERIES[name]
+    assert set(witnesses) == set(prefixes)
+    for tag, prefix in prefixes.items():
+        assert witnesses[tag].startswith(prefix), witnesses[tag]
 
 
 def test_insertion_221_grows_no_avoider_level(monkeypatch):

@@ -36,6 +36,15 @@ def test_named_sequences():
         (counting.bell, (-1,)),
         (counting.dudu_count, (-1,)),
         (counting.stirling2, (-1, -1)),
+        (counting.formula_counts, ("2321", "modasc", -1)),
+        (counting.p_coefficients, (-1,)),
+        (counting.series_f, (-1,)),
+        (counting.series_f_second_form, (-1,)),
+        (counting.series_modasc122, (-1,)),
+        (counting.series_g, (-1,)),
+        (counting.series_d, (-1,)),
+        (counting.series_modasc312, (-1,)),
+        (counting.series_motzkin, (-1,)),
     ],
     ids=lambda v: getattr(v, "__name__", repr(v)),
 )
@@ -155,17 +164,15 @@ def test_ogf_substitute_matches_transform():
 
 
 def test_special_series_prefixes():
-    assert counting.special_series("F", 9).coeffs == F_COEFFS
-    assert counting.special_series("D", 10).coeffs == tuple(DUDU)
-    assert counting.special_series("Motzkin_eq", 10).coeffs == tuple(MOTZKIN)
-    got = counting.special_series("Modasc312", 10).coeffs
+    assert counting.series_f(9).coeffs == F_COEFFS
+    assert counting.series_d(10).coeffs == tuple(DUDU)
+    assert counting.series_motzkin(10).coeffs == tuple(MOTZKIN)
+    got = counting.series_modasc312(10).coeffs
     assert got == counting.PRINTED_SEQUENCES[("312", "modasc")][1]
-    with pytest.raises(ValueError):
-        counting.special_series("H", 5)
 
 
 def test_series_g_shifts_prim122():
-    g = counting.special_series("G", 12)
+    g = counting.series_g(12)
     for n in range(12):
         assert g[n] == counting.closed_counts("122", "prim", n + 1)
 
