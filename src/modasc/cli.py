@@ -10,13 +10,16 @@ Subcommands
 
 Stdout is byte-deterministic for a given command line; timing goes to
 stderr.  Exit status: 0 success, 1 a comparison or check failed,
-2 usage error.
+2 usage error, 141 stdout was closed before everything was written (as
+in `modasc generate --n 10 | head -1`; 141 is what a shell reports for
+a process killed by SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 import time
 
@@ -25,6 +28,10 @@ import time
 from . import patterns, words
 
 DEFAULT_CAP = 10
+
+#: Exit status when stdout is closed early: 128 + SIGPIPE, as a shell
+#: reports for a process that the signal killed.
+BROKEN_PIPE = 141
 
 #: Words written by `generate` in one `sys.stdout.write`.  A chunk of
 #: one-digit letters (1..9) is turned into text by `bytes.translate`,
@@ -347,9 +354,18 @@ def main(argv=None) -> int:
     try:
         if args.cap < 1:
             raise _usage_error("--cap must be positive")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # exit writes what is still buffered there and prints no error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -50,8 +50,14 @@ are built and cached.  `count_avoiders` counts lengths n - 1 and n from
 level n - 2 by popcount, building no word of either, and
 `sorted_avoider_keys` (and `avoiders`, its tuples) turns the children of
 level n - 2 straight into byte strings; none caches level n - 1 or n.
-Every level, cached or handed out, is expanded by `words._child_keys`,
-so a length above `words.KEY_CAP` is refused before any level is built.
+Every level, cached or handed out, is grown by `words._grow`, as in
+`words.sorted_keys`: the words of level n - 2 are grouped by their
+maximum, last letter and `_grown` masks, so a group's children that end
+with a letter a all leave out the same letters below them.  The groups
+grow into level n - 1, grouped and sorted again, and that into level n,
+sorted as one list of runs.  So a length above `words.KEY_CAP` is
+refused before any level is built, and every level is in lexicographic
+order.
 The lengths of the levels built or counted are kept in a small table of
 ints, so a repeated count searches nothing.
 
@@ -73,10 +79,13 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .words import (
+    Label,
     Word,
     _check_key_length,
-    _child_keys,
+    _grow,
     _letters,
+    _regroup,
+    _sorted_children,
     check_length,
     is_cayley,
 )
@@ -169,13 +178,15 @@ def _plan(y: Word) -> Plan:
 
 
 @lru_cache(maxsize=256)
-def _layout(plan: Plan) -> tuple[frozenset[int], tuple[bool, ...]]:
+def _layout(plan: Plan) -> tuple[frozenset[int], tuple[int, ...]]:
     """The steps of y whose values a later step of `plan` reads (the tied
     one, or else the ones below and above), and for each step of y[:-2]
-    whether steps k - 2 or k - 1 read it: a stem keeps only those.
+    the slot of the chosen values a stem reads: the step itself if steps
+    k - 2 or k - 1 read it, else -2, the slot of step k - 1, which is
+    never written and holds 0.
 
     >>> _layout(_plan((2, 3, 2, 1)))
-    (frozenset({0}), (True, False))
+    (frozenset({0}), (0, -2))
     """
 
     def reads(steps: Plan) -> set[int]:
@@ -183,7 +194,7 @@ def _layout(plan: Plan) -> tuple[frozenset[int], tuple[bool, ...]]:
                 for i in ((tied,) if tied >= 0 else (below, above)) if i >= 0}
 
     last_two = reads(plan[-2:])
-    return frozenset(reads(plan)), tuple(i in last_two for i in range(len(plan) - 2))
+    return frozenset(reads(plan)), tuple(i if i in last_two else -2 for i in range(len(plan) - 2))
 
 
 def _occurrences(w: Word, plan: Plan) -> tuple[set, set]:
@@ -201,13 +212,13 @@ def _occurrences(w: Word, plan: Plan) -> tuple[set, set]:
     ({(0, 1)}, {(1, 0)})
     """
     k = len(plan)
-    reads, keep = _layout(plan)
+    reads, slots = _layout(plan)
     chosen = [0] * (k - 1) + [0, max(w, default=0) + 1]
     ends: set = set()
     stems: set = set()
     # Step s of y[:-2] may sit at position len(w) - k + 2 + s, one further
     # right than in y[:-1].
-    _place(w, plan, reads, keep, chosen, 0, 0, len(w) - k + 3, ends, stems)
+    _place(w, plan, reads, slots, chosen, 0, 0, len(w) - k + 3, ends, stems)
     return ends, stems
 
 
@@ -215,7 +226,7 @@ def _place(
     w: Word,
     plan: Plan,
     reads: frozenset[int],
-    keep: tuple[bool, ...],
+    slots: tuple[int, ...],
     chosen: list[int],
     s: int,
     start: int,
@@ -224,15 +235,15 @@ def _place(
     stems: set,
 ) -> None:
     """Extend the occurrence of y[:s] in `chosen` by step s, at a position
-    in range(start, stop) of w, recording it in `stems` at s = k - 2 and
-    in `ends` at s = k - 1."""
+    in range(start, stop) of w, recording it in `stems` at s = k - 2 (the
+    slots of `chosen` that `slots` names) and in `ends` at s = k - 1."""
     below, above, tied = plan[s]
     k = len(plan)
     if s == k - 1:
         ends.add(chosen[tied] if tied >= 0 else (chosen[below], chosen[above]))
         return
     if s == k - 2:
-        stems.add(tuple(v if kept else 0 for v, kept in zip(chosen, keep)))
+        stems.add(tuple(map(chosen.__getitem__, slots)))
         stop = len(w)
     if tied >= 0:
         # The leftmost copy of the tied value reaches every later occurrence.
@@ -242,7 +253,7 @@ def _place(
         except ValueError:
             return
         chosen[s] = v
-        _place(w, plan, reads, keep, chosen, s + 1, i + 1, stop + 1, ends, stems)
+        _place(w, plan, reads, slots, chosen, s + 1, i + 1, stop + 1, ends, stems)
         return
     lo, hi = chosen[below], chosen[above]
     seen = set()
@@ -252,7 +263,7 @@ def _place(
         v = w[i]
         if lo < v < hi and v not in seen:
             chosen[s] = v
-            _place(w, plan, reads, keep, chosen, s + 1, i + 1, stop + 1, ends, stems)
+            _place(w, plan, reads, slots, chosen, s + 1, i + 1, stop + 1, ends, stems)
             if s not in reads:
                 return
             seen.add(v)
@@ -399,32 +410,26 @@ _COUNTS: dict[tuple[int, frozenset[Word], str], int] = {}
 @lru_cache(maxsize=None)
 def _avoider_level(n: int, pats: frozenset[Word], cls: str) -> tuple[Word, ...]:
     """Level n of the class's generating tree (see `words`) with, below
-    each parent, the children that contain a pattern left out, grown from
-    level n - 2 (`_parents`).  The lengths of levels n - 1 and n go into
-    `_COUNTS`."""
+    each parent, the children that contain a pattern left out, in
+    lexicographic order: the tuples of `sorted_avoider_keys`."""
     if n == 0:
         return ((),)
-    parents = list(_parents(n, pats, cls))
-    level = tuple(map(tuple, _child_keys(parents, cls == "prim")))
-    _COUNTS[n - 1, pats, cls] = len(parents)
-    _COUNTS[n, pats, cls] = len(level)
-    return level
+    return tuple(map(tuple, sorted_avoider_keys(n, pats, cls)))
 
 
-def _parents(n: int, pats: frozenset[Word], cls: str) -> Iterator[tuple[Word | bytes, int]]:
-    """The avoiders of length n - 1 (n >= 1), each with the letters (as
-    bits) its children may not end with: the children of the cached level
-    n - 2 (level 0 itself for n = 1) as byte strings, which are not
-    cached."""
-    plans = [_plan(y) for y in pats]
+def _parents(n: int, pats: frozenset[Word], cls: str) -> dict[Label, list[bytes]]:
+    """The avoiders of length n - 1 (n >= 1) as byte strings, grouped by
+    label for `words._grow`: the cached level n - 2 (level 0 itself for
+    n = 1) grouped by its `_grown` masks, and for n >= 2 grown once more,
+    so that a child ending with a letter a leaves out `below[a]` of its
+    group.  The children are not cached."""
     prim = cls == "prim"
-    if n == 1:
-        return ((w, bad) for w, bad, _ in _grown(_avoider_level(0, pats, cls), plans, prim))
-    return (
-        (c, below[c[-1]])
-        for g, bad, below in _grown(_avoider_level(n - 2, pats, cls), plans, prim)
-        for c in _child_keys(((g, bad),), prim)
-    )
+    groups: dict[Label, list[bytes]] = {}
+    level = _avoider_level(max(n - 2, 0), pats, cls)
+    for g, bad, below in _grown(level, [_plan(y) for y in pats], prim):
+        label = (len(below) - 2, g[-1] if g else 0, bad, below)
+        groups.setdefault(label, []).append(bytes(g))
+    return groups if n == 1 else _regroup(_grow(groups, prim))
 
 
 def _checked(n: int, patterns: Iterable[Word], cls: str) -> frozenset[Word]:
@@ -456,8 +461,9 @@ def sorted_avoider_keys(
     n: int, patterns: Iterable[Word], cls: str = "modasc"
 ) -> list[bytes]:
     """The length-n avoiders of every given pattern in the class as sorted
-    byte strings, expanded from the parents at level n - 1 by
-    `words._child_keys` and sorted; levels n - 1 and n are not cached.
+    byte strings, grown from their parents at level n - 1 (`_parents`)
+    by `words._grow` and sorted as one list of ascending runs; levels
+    n - 1 and n are not cached, but their lengths go into `_COUNTS`.
     Raises ValueError unless n <= `words.KEY_CAP`, before any level is
     built.
 
@@ -467,7 +473,11 @@ def sorted_avoider_keys(
     pats = _checked(n, patterns, cls)
     if n == 0:
         return [b""]
-    return sorted(_child_keys(_parents(n, pats, cls), cls == "prim"))
+    groups = _parents(n, pats, cls)
+    _COUNTS[n - 1, pats, cls] = sum(map(len, groups.values()))
+    keys = _sorted_children(groups, cls == "prim")
+    _COUNTS[n, pats, cls] = len(keys)
+    return keys
 
 
 def count_avoiders(n: int, patterns: Iterable[Word], cls: str = "modasc") -> int:

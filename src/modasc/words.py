@@ -16,20 +16,25 @@ its maximum and its last letter, and the empty word has the label (0, 0):
 with 1 <= a < l in the first range for the primitive words.  A letter
 a <= l is appended as it is; a larger one is a new value, appended after
 every old letter >= a is bumped up by one.  `_letters` states the rule,
-`_child_keys` applies it to words and `count_level` to the labels alone.
-`_child_keys` makes each child as a byte string, one byte per letter (so
-n <= KEY_CAP = 255), by one `bytes.translate` of the parent's key plus a
-byte 0, through a table per letter that writes the letter in place of
-the 0 and bumps the old letters; the tables of a parent are built once
-per (maximum, last letter) label.  `_level` caches, as the tuples of
-that step and in generation order (not lexicographic from n = 4 on),
-only the levels that are expanded further: every level handed out comes
-from `sorted_keys`, which expands the cached level n - 2 into level
-n - 1, expands that again into level n, and sorts it; levels n - 1 and
-n are never cached and never held as tuples.  `generate_modasc` and
-`generate_prim` are its tuples.  `patterns` builds and hands out its
-avoider levels by the same step, leaving out the letters a pattern
-forbids.
+`_grow` applies it to words and `count_level` to the labels alone.
+Since the children depend only on the label, `_grow` expands all the
+words of one label at once: it holds them as byte strings, one byte per
+letter (so n <= KEY_CAP = 255), and makes the children that end with a
+letter a by one C-level `map` of `bytes.translate` over the group, each
+key with a byte 0 appended, through one table that writes a in place of
+the 0 and bumps the old letters.  The table keeps the order of the
+keys, so a sorted group gives sorted runs of children.
+
+`sorted_keys` hands out every level: it groups the cached level n - 2
+by label, grows it into level n - 1, sorts each group of that, and
+grows it into level n, which it sorts as one list of ascending runs;
+levels n - 1 and n are never cached and never held as tuples.
+`_level(n)` caches the tuples of `sorted_keys(n)`, so levels grow two at
+a time and the cache holds levels n - 2, n - 4, ..., each in
+lexicographic order.
+`generate_modasc` and `generate_prim` are the tuples of `sorted_keys`.
+`patterns` builds and hands out its avoider levels by the same `_grow`,
+leaving out the letters a pattern forbids.
 
 `statistics` returns a view whose fields (ascent tops, the
 left-to-right and right-to-left minima and maxima, ascents and
@@ -253,58 +258,81 @@ def _check_key_length(n: int) -> None:
         raise ValueError(f"length {n} exceeds {KEY_CAP}: a letter must fit in a byte")
 
 
-def _child_keys(parents: Iterable[tuple[Word | bytes, int]], prim: bool) -> Iterator[bytes]:
-    """The children of the (w, bad) pairs of `parents`, in generation
-    order, as byte strings, leaving out below each w the letters a with
-    bit a set in `bad`.  A parent w is a word of length at most
-    KEY_CAP - 1 or its byte string.
+#: A label of `_grow`: maximum, last letter, the letters (as bits) left
+#: out of the children, and those left out below each child, at the
+#: index of its last letter (None if none are).
+Label = tuple[int, int, int, tuple[int, ...] | None]
 
-    >>> [tuple(k) for k in _child_keys([((1, 3, 1, 2), 0)], False)]
-    [(1, 3, 1, 2, 1), (1, 3, 1, 2, 2), (1, 4, 1, 2, 3), (1, 3, 1, 2, 4)]
-    >>> [tuple(k) for k in _child_keys([((1, 3, 1, 2), 1 << 4), (b"\\x01\\x02", 0)], True)]
-    [(1, 3, 1, 2, 1), (1, 4, 1, 2, 3), (1, 2, 1), (1, 2, 3)]
 
-    Each child is the parent's key with a byte 0 appended, put through
-    one `bytes.translate` table: the table of a letter a maps 0 to a
-    and, if a is bumped, every v >= a to v + 1.  The tuple of tables of
-    a parent depends only on its maximum, its last letter and `bad`, so
-    it is built once per such label in a dict kept for this call.
+def _grow(groups: dict[Label, list[bytes]], prim: bool) -> Iterator[tuple[Label, int, list[bytes]]]:
+    """Expand the words of `groups`, which maps a label (m, last, bad,
+    below) to the byte strings of words of length at most KEY_CAP - 1
+    with maximum m and last letter `last`, and yield (label, a,
+    children) for each letter a of the rule above that is not a bit of
+    `bad`, emptying `groups` one label at a time.  The table of a maps
+    the appended 0 to a and, if a is bumped, every v >= a to v + 1.
+
+    >>> groups = {(3, 2, 1 << 4, None): [bytes((1, 3, 1, 2))], (2, 2, 0, None): [b"\\x01\\x02"]}
+    >>> [(label[:3], a, [tuple(c) for c in run]) for label, a, run in _grow(groups, True)]
+    [((2, 2, 0), 1, [(1, 2, 1)]), ((2, 2, 0), 3, [(1, 2, 3)]), ((3, 2, 16), 1, [(1, 3, 1, 2, 1)]), ((3, 2, 16), 3, [(1, 4, 1, 2, 3)])]
+    >>> groups
+    {}
     """
     same = bytes(range(1, 256))
-    labels: dict[tuple[int, int, int], tuple[bytes, ...]] = {}
-    for w, bad in parents:
-        key = bytes(w) + b"\0"  # the 0 leaves the max, and makes it 0 for ()
-        label = (max(key), key[-2] if w else 0, bad)
-        tables = labels.get(label)
-        if tables is None:
-            kept, bumped = _letters(label[0], label[1], prim)
-            tables = labels[label] = tuple(
-                [bytes((a,)) + same for a in kept if not bad >> a & 1]
-                + [
-                    bytes((a,)) + same[:a - 1] + same[a:] + b"\xff"
-                    for a in bumped
-                    if not bad >> a & 1
-                ]
-            )
-        yield from map(key.translate, tables)
+    while groups:
+        label, keys = groups.popitem()
+        m, last, bad, _ = label
+        padded = list(map(bytes.__add__, keys, itertools.repeat(b"\0")))
+        del keys  # the group is freed; its padded copy is expanded
+        kept, bumped = _letters(m, last, prim)
+        tables = [(a, bytes((a,)) + same) for a in kept]
+        tables += [(a, bytes((a,)) + same[:a - 1] + same[a:] + b"\xff") for a in bumped]
+        for a, table in tables:
+            if not bad >> a & 1:
+                yield label, a, list(map(bytes.translate, padded, itertools.repeat(table)))
+
+
+def _regroup(grown: Iterable[tuple[Label, int, list[bytes]]]) -> dict[Label, list[bytes]]:
+    """The children `_grow` yields, grouped by their own labels, each
+    group sorted: a child that ends with a letter a has `below[a]` of
+    its parent's label as its `bad` (0 if `below` is None), and None
+    below it.  A group is a few ascending runs, which the sort merges."""
+    groups: dict[Label, list[bytes]] = {}
+    for (m, last, _, below), a, run in grown:
+        groups.setdefault((m + (a > last), a, below[a] if below else 0, None), []).extend(run)
+    for run in groups.values():
+        run.sort()
+    return groups
+
+
+def _sorted_children(groups: dict[Label, list[bytes]], prim: bool) -> list[bytes]:
+    """Every child `_grow` makes of `groups`, in lexicographic order: its
+    runs, ascending if each group is, extend one list sorted in place."""
+    keys: list[bytes] = []
+    for _, _, run in _grow(groups, prim):
+        keys += run
+    keys.sort()
+    return keys
 
 
 @lru_cache(maxsize=None)
 def _level(n: int, prim: bool) -> tuple[Word, ...]:
-    """Level n of the generating tree above, in generation order: the
-    tuples of `_child_keys` over level n - 1."""
+    """Level n of the generating tree above, in lexicographic order: the
+    tuples of `sorted_keys(n, prim)`, so levels n - 2, n - 4, ... are
+    cached with it, and level n - 1 is not."""
     if n == 0:
         return ((),)
-    return tuple(map(tuple, _child_keys(((w, 0) for w in _level(n - 1, prim)), prim)))
+    return tuple(map(tuple, sorted_keys(n, prim)))
 
 
 def sorted_keys(n: int, prim: bool) -> list[bytes]:
     """Level n (the primitive words if `prim`) as byte strings, one byte
-    per letter, in lexicographic order.  Levels n - 1 and n are expanded
-    as byte strings from the cached level n - 2 (level 0 itself for
-    n = 1) by `_child_keys`; neither is cached or held as tuples.  Byte
-    strings of equal length sort like the tuples.  Raises ValueError
-    unless 0 <= n <= KEY_CAP, before any level is built.
+    per letter, in lexicographic order.  The cached level n - 2 (level 0
+    itself for n = 1) is grouped by label and grown by `_grow` into
+    level n - 1, whose groups are sorted, and that into level n, sorted
+    as one list of ascending runs; neither is cached or held as tuples.
+    Byte strings of equal length sort like the tuples.  Raises
+    ValueError unless 0 <= n <= KEY_CAP, before any level is built.
 
     >>> sorted_keys(3, True)
     [b'\\x01\\x02\\x01', b'\\x01\\x02\\x03']
@@ -312,10 +340,12 @@ def sorted_keys(n: int, prim: bool) -> list[bytes]:
     _check_key_length(n)
     if n == 0:
         return [b""]
-    parents = ((w, 0) for w in _level(max(n - 2, 0), prim))
+    groups: dict[Label, list[bytes]] = {}
+    for w in _level(max(n - 2, 0), prim):
+        groups.setdefault((max(w, default=0), w[-1] if w else 0, 0, None), []).append(bytes(w))
     if n >= 2:
-        parents = ((k, 0) for k in _child_keys(parents, prim))
-    return sorted(_child_keys(parents, prim))
+        groups = _regroup(_grow(groups, prim))
+    return _sorted_children(groups, prim)
 
 
 def generate_modasc(n: int) -> list[Word]:

@@ -10,9 +10,9 @@ settings.load_profile("deterministic")
 @pytest.fixture(scope="session")
 def tuple_children():
     """The tests' own expansion of a word w into its children, as tuples in
-    generation order, leaving out those whose last letter a has bit a set
-    in `bad`: the succession rule of `modasc.words`, written out again so
-    that it shares no code with the expansion it checks."""
+    the order of their last letters, leaving out those whose last letter a
+    has bit a set in `bad`: the succession rule of `modasc.words`, written
+    out again so that it shares no code with the expansion it checks."""
 
     def children(w, prim, bad=0):
         m, last = max(w, default=0), w[-1] if w else 0
@@ -24,6 +24,22 @@ def tuple_children():
                 yield (*(v + (v >= a) for v in w), a)
 
     return children
+
+
+@pytest.fixture(scope="session")
+def tuple_levels(tuple_children):
+    """Levels 0..top of the `tuple_children` expansion, each sorted: a
+    reference for the levels of `modasc.words` that shares no code with
+    them."""
+
+    def levels(prim, top):
+        level, out = [()], [[()]]
+        for _ in range(top):
+            level = [c for w in level for c in tuple_children(w, prim)]
+            out.append(sorted(level))
+        return out
+
+    return levels
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import modasc
 from modasc import cli, words
 from modasc.cli import main
 
@@ -27,20 +31,19 @@ def test_generate_modasc(capsys):
 
 
 @pytest.mark.parametrize("cls", ["modasc", "prim"])
-def test_generate_prints_the_sorted_level(capsys, cls):
+def test_generate_prints_the_sorted_level(capsys, cls, tuple_levels):
     # level 9 has more words than one write takes
     assert words.count_level(9, cls == "prim") > cli.WRITE_CHUNK
-    for n in range(10):
+    for n, level in enumerate(tuple_levels(cls == "prim", 9)):
         code, out, _ = run(capsys, ["generate", "--class", cls, "--n", str(n)])
         assert code == 0
-        level = sorted(words._level(n, cls == "prim"))
         assert out == "".join(words.format_word(w) + "\n" for w in level), (cls, n)
 
 
-def test_generate_prints_two_digit_letters(capsys):
+def test_generate_prints_two_digit_letters(capsys, tuple_levels):
     code, out, _ = run(capsys, ["generate", "--class", "prim", "--n", "10"])
     assert code == 0
-    level = sorted(words._level(10, True))
+    level = tuple_levels(True, 10)[10]
     assert out == "".join(words.format_word(w) + "\n" for w in level)
     assert "1 2 3 4 5 6 7 8 9 10" in out.splitlines()
 
@@ -568,3 +571,21 @@ def test_experiment_output_is_pinned(capsys, check, order):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == EXPERIMENT_SHA256[(check, order)]
+
+
+def test_closed_pipe_exits_quietly():
+    # `generate --n 10` writes about 4 MB, far more than a pipe holds, so
+    # closing the pipe after one line breaks a later write.
+    src = os.path.dirname(os.path.dirname(modasc.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modasc.cli", "generate", "--n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"1 1 1 1 1 1 1 1 1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE == 141
+    assert err == b""

@@ -232,21 +232,22 @@ def test_repeated_count_searches_nothing(monkeypatch):
         assert patterns.count_avoiders(n, [(2, 1, 3, 2)], cls) == first[n]
 
 
-def test_generated_levels_are_the_sorted_levels():
-    for n in range(9):
-        for prim, generate in ((False, words.generate_modasc), (True, words.generate_prim)):
-            level = sorted(words._level(n, prim))
+def test_generated_levels_are_the_sorted_levels(tuple_levels):
+    for prim, generate in ((False, words.generate_modasc), (True, words.generate_prim)):
+        for n, level in enumerate(tuple_levels(prim, 8)):
             assert words.sorted_keys(n, prim) == [bytes(w) for w in level]
             assert generate(n) == level
+            assert words._level(n, prim) == tuple(level)
 
 
 @pytest.mark.parametrize("prim", [False, True])
-def test_sorted_children_matches_children(prim, tuple_children):
+def test_grow_matches_children(prim, tuple_children):
     rng = random.Random(22)
     reference = [()]
     for n in range(1, 9):
         level = words._level(n - 1, prim)
-        assert level == tuple(reference), (n - 1, prim)
+        # the cached levels are lexicographic
+        assert level == tuple(sorted(reference)), (n - 1, prim)
         reference = [c for w in reference for c in tuple_children(w, prim)]
         full = (1 << (n + 1)) - 1  # every letter 1..n forbidden
         odd = full // 3  # bits 0, 2, 4, ...
@@ -270,10 +271,21 @@ def test_sorted_children_matches_children(prim, tuple_children):
             want = sorted(
                 bytes(c) for w, bad in parents for c in tuple_children(w, prim, bad)
             )
-            assert sorted(words._child_keys(parents, prim)) == want, (n, prim, bads[:3])
-            keyed = [(bytes(w), bad) for w, bad in parents]
-            assert sorted(words._child_keys(keyed, prim)) == want, (n, prim, bads[:3])
-    assert words._level(8, prim) == tuple(reference)
+            groups = {}
+            for w, bad in parents:
+                label = (max(w, default=0), w[-1] if w else 0, bad, None)
+                groups.setdefault(label, []).append(bytes(w))
+            got = []
+            for (m, last, bad, _), a, run in words._grow(groups, prim):
+                assert not bad >> a & 1
+                assert {c[-1] for c in run} == {a}
+                assert {max(c) for c in run} == {m + (a > last)}
+                # each group is ascending, since the level is
+                assert all(x < y for x, y in zip(run, run[1:])), (n, prim, a)
+                got += run
+            assert groups == {}
+            assert sorted(got) == want, (n, prim, bads[:3])
+    assert words._level(8, prim) == tuple(sorted(reference))
 
 
 def test_sorted_levels_reject_negative_length():
@@ -327,11 +339,12 @@ def test_generate_caches_levels_below_n(capsys, monkeypatch, cls):
     monkeypatch.setattr(words, "_level", spy)
     assert cli.main(["generate", "--class", cls, "--n", "9"]) == 0
     info = level.cache_info()
-    # levels 0..7: levels 8 and 9 are expanded as byte strings from
-    # level 7, and no word of length 8 is built as a tuple
-    assert info.currsize == 8
+    # levels 7, 5, 3, 1 and 0: levels 8 and 9 are grown as byte strings
+    # from level 7, which grew from level 5, and no word of length 8 is
+    # built as a tuple
+    assert info.currsize == 5
     assert info.hits + info.misses > 0
-    assert max(built) == 7
+    assert sorted(set(built)) == [0, 1, 3, 5, 7]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == words.count_level(9, cls == "prim")
 
