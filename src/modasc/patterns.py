@@ -25,19 +25,19 @@ module docstring states the succession rule) with the letters a pattern
 forbids left out: extending a modified ascent sequence relabels the old
 letters in an order-preserving way, so containment is inherited by
 every extension and any new occurrence must use the appended letter.
-So each word w is searched once per pattern y (`_occurrences`), for the
-distinct value tuples of the occurrences of y[:-1] (its ends) and of
-y[:-2] (its stems).  An end has a lower bound (its largest value below
-y's last), an upper bound (its smallest value above) and maybe a value
-tied with y's last.  It forbids the child letter equal to the tied
+So each word w is read once per pattern y, for the distinct value
+tuples of the occurrences of y[:-1] (its ends) and of y[:-2] (its
+stems).  An end has a lower bound (its largest value below y's last),
+an upper bound (its smallest value above) and maybe a value tied with
+y's last.  It forbids the child letter equal to the tied
 value if that letter is appended as it is, or with no tied value every
 appended a with lower < a < upper and every bumped a (a new value, the
 only copy of itself) with lower < a <= upper (`_end_mask`).  The ends
 of a child w a are w's own, bumped if a is a new value, and the stems
 that step k - 2 of y accepts with a, extended by a (`_child_masks`).
-So the one search of w gives, as bit masks, the letters its children
+So the one reading of w gives, as bit masks, the letters its children
 may not end with and those each child's children may not end with
-(`_grown`); no child is searched.  The masks depend on w only through
+(`_grown`); no child is read.  The masks depend on w only through
 its occurrence state: its maximum, its last letter and its ends and
 stems.  Far fewer states than words occur (195 among the 4,140 avoiders
 of 2321 of length 8), so the masks are worked out once per distinct
@@ -59,16 +59,27 @@ sorted as one list of runs.  So a length above `words.KEY_CAP` is
 refused before any level is built, and every level is in lexicographic
 order.
 The lengths of the levels built or counted are kept in a small table of
-ints, so a repeated count searches nothing.
+ints, so a repeated count reads no word.
 
-The search follows a plan made once per pattern for a level or a count
+The reading follows a plan made once per pattern for a level or a count
 (`_plan`): each step of y is compared only with the earlier step of the
 nearest value below it and the one of the nearest value above, or, if
-an earlier step is tied with it, is placed at the next copy of that
-step's value.  The same plan gives the bounds and the tied value above.
-A step whose value no later step reads is placed at its first fit only.
-`contains` shares none of this; it is the oracle the search is tested
-against.
+an earlier step is tied with it, with that step's value.  The same plan
+gives the bounds and the tied value above.  The words of a level are
+read by one automaton per plan (`_automaton`), in the spirit of Vatter,
+"Finitely labeled generating trees and restricted permutations" (2006).
+Its state after some letters holds, for each prefix y[:j] (1 <= j < k),
+the distinct occurrences of y[:j] in them, kept only at the steps that
+a later step reads (`_layout`), so that occurrences which differ
+elsewhere are one.  A transition (state, letter) extends by the letter
+each occurrence of y[:j - 1] whose step j - 1 accepts it; it is worked
+out once (`_advance`) and then looked up by every word that takes it,
+and a word's ends and stems are projected from its last state and its
+maximum, once per such pair (`_found`, `_key`).  The occurrences and
+the sets of them are interned, and an automaton that holds more than
+`_STATES` states is replaced by a new one before the next word, so its
+memory is bounded whatever the level.  `contains` shares none of this;
+it is the oracle the reading is tested against.
 """
 
 from __future__ import annotations
@@ -157,8 +168,8 @@ def _plan(y: Word) -> Plan:
     """For each step s of y, the earlier steps its value is compared with:
     one with the nearest value below y[s], one with the nearest value above
     and one tied with it.  A missing step is -2 below, -1 above and -1
-    tied: `_occurrences` reads the bounds of a missing step from two
-    sentinel slots at the end of its list of chosen values.
+    tied: `_child_masks` reads the bounds of a missing step from two
+    sentinel slots at the end of its list of values.
 
     Occurrences of a Cayley permutation are order isomorphic on every
     prefix, so these two (or one) comparisons imply all the others.
@@ -178,95 +189,144 @@ def _plan(y: Word) -> Plan:
 
 
 @lru_cache(maxsize=256)
-def _layout(plan: Plan) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The steps of y whose values a later step of `plan` reads (the tied
-    one, or else the ones below and above), and for each step of y[:-2]
-    the slot of the chosen values a stem reads: the step itself if steps
-    k - 2 or k - 1 read it, else -2, the slot of step k - 1, which is
-    never written and holds 0.
+def _layout(plan: Plan) -> tuple[tuple[int, ...], ...]:
+    """For each prefix y[:j] of the pattern of `plan` (1 <= j < k), the
+    slot an occurrence of it is kept by for each of its steps: the step
+    itself if a step from j on reads it (the tied one, or else the ones
+    below and above), else -1, a slot that holds 0.  Occurrences that
+    differ only in the steps not kept are then one.
 
     >>> _layout(_plan((2, 3, 2, 1)))
-    (frozenset({0}), (0, -2))
+    ((0,), (0, -1), (0, -1, -1))
+    >>> _layout(_plan((1, 2, 1, 2)))  # step 3 reads step 1 alone
+    ((0,), (0, 1), (-1, 1, -1))
     """
+    reads = [{tied} if tied >= 0 else {below, above} - {-2, -1}
+             for below, above, tied in plan]
+    return tuple(
+        tuple(t if any(t in r for r in reads[j:]) else -1 for t in range(j))
+        for j in range(1, len(plan))
+    )
 
-    def reads(steps: Plan) -> set[int]:
-        return {i for below, above, tied in steps
-                for i in ((tied,) if tied >= 0 else (below, above)) if i >= 0}
 
-    last_two = reads(plan[-2:])
-    return frozenset(reads(plan)), tuple(i if i in last_two else -2 for i in range(len(plan) - 2))
+#: The most states an automaton of `_grown` holds between words: one that
+#: holds more is replaced by a new one before the next word.
+_STATES = 4096
+
+
+def _automaton(plan: Plan) -> tuple[Plan, list, dict, dict, list, dict, dict]:
+    """A new occurrence automaton of `plan`, as (plan, states, ids, nexts,
+    sets, interned, keys).
+
+    A state is a tuple holding, for j = 0, ..., k - 1, the id of the set
+    of distinct occurrences of y[:j] in the letters read so far, each
+    occurrence kept by its slots of `_layout`.  `states` lists the states
+    by id, state 0 (the empty word) first, and `ids` numbers them.
+    `nexts` holds each transition worked out so far, from state s on
+    letter v, at v << 32 | s.  `sets` lists the sets by id, each a sorted
+    tuple, and `interned` holds the occurrences (each itself) and the sets
+    (each its id).  `keys` holds the keys `_grown` packed, by state and
+    maximum."""
+    start = (0, *[1] * (len(plan) - 1))
+    return plan, [start], {start: 0}, {}, [((),), ()], {((),): 0, (): 1}, {}
+
+
+def _run(automaton: tuple, w: Word) -> int:
+    """The state of `automaton` after reading the letters of w, each
+    transition looked up once it is worked out."""
+    nexts = automaton[3]
+    s = 0
+    for v in w:
+        t = nexts.get(v << 32 | s)
+        s = _advance(automaton, s, v) if t is None else t
+    return s
+
+
+def _advance(automaton: tuple, s: int, v: int) -> int:
+    """The state after reading v in state s, worked out, added to the
+    automaton if new and recorded as the transition (s, v): each
+    occurrence of y[:j - 1] that step j - 1 of the plan accepts v after
+    (v tied with it, or between its bounds, a missing bound being no
+    bound) gives one of y[:j], kept by its slots of `_layout`."""
+    plan, states, ids, nexts, sets, interned, _ = automaton
+    old = states[s]
+    new = list(old)
+    for j, ((below, above, tied), slots) in enumerate(zip(plan, _layout(plan)), 1):
+        before = sets[old[j - 1]]
+        if not before:
+            break  # nor are there occurrences of y[:j] or longer prefixes
+        if tied >= 0:
+            grown = {tuple(map((*o, v, 0).__getitem__, slots))
+                     for o in before if o[tied] == v}
+        else:
+            grown = {tuple(map((*o, v, 0).__getitem__, slots)) for o in before
+                     if (below < 0 or o[below] < v) and (above < 0 or v < o[above])}
+        known = sets[old[j]]
+        grown.difference_update(known)
+        if grown:
+            grown = tuple(sorted([*known, *map(interned.setdefault, grown, grown)]))
+            new[j] = interned.setdefault(grown, len(sets))
+            if new[j] == len(sets):
+                sets.append(grown)
+    state = tuple(new)
+    t = ids.setdefault(state, len(states))
+    if t == len(states):
+        states.append(state)
+    nexts[v << 32 | s] = t
+    return t
+
+
+def _found(automaton: tuple, s: int, m: int) -> tuple[set, set]:
+    """The ends and stems (see `_occurrences`) of a word with maximum m in
+    state s: what step k - 1 reads of each occurrence of y[:-1], with a
+    missing bound 0 below and m + 1 above, and the occurrences of
+    y[:-2]."""
+    plan, states, _, _, sets, _, _ = automaton
+    state = states[s]
+    below, above, tied = plan[-1]
+    if tied >= 0:
+        ends = {o[tied] for o in sets[state[-1]]}
+    else:
+        ends = {(o[below] if below >= 0 else 0, o[above] if above >= 0 else m + 1)
+                for o in sets[state[-1]]}
+    return ends, set(sets[state[-2]]) if len(plan) > 1 else set()
+
+
+def _key(automaton: tuple, s: int, m: int) -> str:
+    """The ends and stems of a word with maximum m in state s (`_found`)
+    packed into a string of one character per int, which is canonical
+    and far smaller than a pair of sets: the number of stems, the sorted
+    stems and the sorted ends.  Both have a fixed width, so it is
+    injective.  Each key is packed once and kept by the automaton."""
+    keys = automaton[6]
+    key = keys.get(m << 32 | s)
+    if key is None:
+        ends, stems = _found(automaton, s, m)
+        ends = sorted(ends)
+        if automaton[0][-1][2] < 0:  # pairs (lower, upper)
+            ends = chain.from_iterable(ends)
+        key = keys[m << 32 | s] = "".join(
+            map(chr, (len(stems), *chain.from_iterable(sorted(stems)), *ends))
+        )
+    return key
 
 
 def _occurrences(w: Word, plan: Plan) -> tuple[set, set]:
     """The occurrences in w of y[:-1] and of y[:-2], for the pattern y of
-    `plan = _plan(y)`, as two sets of value tuples, found by one search.
+    `plan = _plan(y)`, as two sets of value tuples, read by a new
+    automaton of the plan (`_automaton`).
 
     An end (an occurrence of y[:-1]) keeps only what y's last step reads:
     the tied value, or else the pair (lower, upper).  A stem (one of
     y[:-2]) keeps the values of its steps that steps k - 2 and k - 1 of
     y read, with 0 in the others (`_layout`).  Values are w's; a missing
-    bound is 0 below and max(w) + 1 above.  A step whose value no later
-    step reads is placed at its first fit only.
+    bound is 0 below and max(w) + 1 above.
 
     >>> _occurrences((1, 2, 1), _plan((2, 3, 2, 1)))  # y[:-1] = 2 3 2
     ({(0, 1)}, {(1, 0)})
     """
-    k = len(plan)
-    reads, slots = _layout(plan)
-    chosen = [0] * (k - 1) + [0, max(w, default=0) + 1]
-    ends: set = set()
-    stems: set = set()
-    # Step s of y[:-2] may sit at position len(w) - k + 2 + s, one further
-    # right than in y[:-1].
-    _place(w, plan, reads, slots, chosen, 0, 0, len(w) - k + 3, ends, stems)
-    return ends, stems
-
-
-def _place(
-    w: Word,
-    plan: Plan,
-    reads: frozenset[int],
-    slots: tuple[int, ...],
-    chosen: list[int],
-    s: int,
-    start: int,
-    stop: int,
-    ends: set,
-    stems: set,
-) -> None:
-    """Extend the occurrence of y[:s] in `chosen` by step s, at a position
-    in range(start, stop) of w, recording it in `stems` at s = k - 2 (the
-    slots of `chosen` that `slots` names) and in `ends` at s = k - 1."""
-    below, above, tied = plan[s]
-    k = len(plan)
-    if s == k - 1:
-        ends.add(chosen[tied] if tied >= 0 else (chosen[below], chosen[above]))
-        return
-    if s == k - 2:
-        stems.add(tuple(map(chosen.__getitem__, slots)))
-        stop = len(w)
-    if tied >= 0:
-        # The leftmost copy of the tied value reaches every later occurrence.
-        v = chosen[tied]
-        try:
-            i = w.index(v, start, stop)
-        except ValueError:
-            return
-        chosen[s] = v
-        _place(w, plan, reads, slots, chosen, s + 1, i + 1, stop + 1, ends, stems)
-        return
-    lo, hi = chosen[below], chosen[above]
-    seen = set()
-    # Likewise for each value between the bounds: one visit per value tuple,
-    # and only the first if no later step reads the value.
-    for i in range(start, stop):
-        v = w[i]
-        if lo < v < hi and v not in seen:
-            chosen[s] = v
-            _place(w, plan, reads, slots, chosen, s + 1, i + 1, stop + 1, ends, stems)
-            if s not in reads:
-                return
-            seen.add(v)
+    automaton = _automaton(plan)
+    return _found(automaton, _run(automaton, w), max(w, default=0))
 
 
 def _end_mask(ends: Iterable, tied: bool, last: int) -> int:
@@ -354,35 +414,33 @@ def _grown(
 ) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
     """Each parent w with the letters (as bits) its children may not end
     with and, at the index of each child's last letter, the letters that
-    child's own children may not end with: one search of w per plan
-    (`_occurrences`), and none of a child.
+    child's own children may not end with: w is read by one automaton per
+    plan (`_automaton`), shared by every parent, and no child is read.
 
     Both follow from w's occurrence state alone: its maximum, its last
     letter and, per plan, its ends and stems.  So the masks are worked out
     once per distinct state of the call (`_state_masks`) and shared by
-    every parent in it; the memo is freed when the call returns."""
-    tied = [plan[-1][2] >= 0 for plan in plans]
-    memo: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    every parent in it; the memo and the automata are freed when the call
+    returns, and an automaton that holds more than `_STATES` states starts
+    again before the next parent."""
+    automata = [_automaton(plan) for plan in plans]
+    memo: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    shared: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
     for w in parents:
         m = max(w, default=0)
         last = w[-1] if w else 0
-        # The state as a flat tuple of small ints, which is canonical and
-        # far smaller than a tuple of sets: m, last and, per plan, the
-        # sorted ends and the sorted stems, each set closed by -1.  A
-        # plan's ends and stems have a fixed width, so it is injective.
-        state = [m, last]
-        found = []
-        for plan, t in zip(plans, tied):
-            ends, stems = occurrences = _occurrences(w, plan)
-            found.append(occurrences)
-            state += sorted(ends) if t else chain.from_iterable(sorted(ends))
-            state.append(-1)
-            state += chain.from_iterable(sorted(stems))
-            state.append(-1)
-        key = tuple(state)
-        masks = memo.get(key)
+        read = []
+        for i, plan in enumerate(plans):
+            if len(automata[i][1]) > _STATES:
+                automata[i] = _automaton(plan)
+            read.append((automata[i], _run(automata[i], w)))
+        state = (m, last, *[_key(automaton, s, m) for automaton, s in read])
+        masks = memo.get(state)
         if masks is None:
-            masks = memo[key] = _state_masks(plans, found, m, last, prim)
+            found = [_found(automaton, s, m) for automaton, s in read]
+            masks = _state_masks(plans, found, m, last, prim)
+            # few distinct pairs: the memo holds one copy of each
+            masks = memo[state] = shared.setdefault(masks, masks)
         yield w, *masks
 
 

@@ -89,22 +89,26 @@ def test_child_step_matches_searching_the_child(tuple_children):
     # those whose child contains y, which `_grown` leaves out.
     plans = {y: [patterns._plan(y)] for y in CAYLEY_PATTERNS}
     for n in range(7):
-        for w in words._level(n, False):
-            m, last = max(w, default=0), w[-1] if w else 0
-            letters = patterns._letter_mask(m, last, False)
-            steps = []
-            for y, plan in plans.items():
-                if not patterns.contains(w, y):
-                    found = patterns._occurrences(w, plan[0])
-                    below = patterns._child_masks(plan[0], *found, m, last, letters)
-                    steps.append((y, plan, below))
-            for c in tuple_children(w, False):
-                kids = [(x[-1], brute_endings(x)) for x in tuple_children(c, False)]
-                for y, plan, below in steps:
-                    [(_, searched, _)] = patterns._grown([c], plan, False)
+        level = words._level(n, False)
+        children = {w: list(tuple_children(w, False)) for w in level}
+        kids = {c: [(x[-1], brute_endings(x)) for x in tuple_children(c, False)]
+                for cs in children.values() for c in cs}
+        for y, plan in plans.items():
+            parents = [w for w in level if not patterns.contains(w, y)]
+            # the letters each child forbids, the child read by `_grown`
+            searched = {
+                c: bad for c, bad, _ in
+                patterns._grown([c for w in parents for c in children[w]], plan, False)
+            }
+            for w in parents:
+                m, last = max(w, default=0), w[-1] if w else 0
+                letters = patterns._letter_mask(m, last, False)
+                found = patterns._occurrences(w, plan[0])
+                below = patterns._child_masks(plan[0], *found, m, last, letters)
+                for c in children[w]:
                     got = bits(below[c[-1]])
-                    assert got == bits(searched), (w, c, y)
-                    assert got == {a for a, ys in kids if y in ys}, (w, c, y)
+                    assert got == bits(searched[c]), (w, c, y)
+                    assert got == {a for a, ys in kids[c] if y in ys}, (w, c, y)
 
 
 def _pattern_sets():
@@ -148,6 +152,38 @@ def test_grown_matches_each_words_own_masks(texts):
             assert [w for w, _, _ in grown] == list(level), (texts, cls, n)
             for w, bad, below in grown:
                 assert (bad, below) == _word_masks(w, plans, prim), (texts, cls, w)
+
+
+@pytest.mark.parametrize("cls", ["modasc", "prim"])
+def test_grown_restarts_a_full_automaton_between_words(monkeypatch, cls):
+    # With room for 4 states, every automaton fills up and starts again
+    # many times within a level, and the masks must not change.
+    prim = cls == "prim"
+    cases = []
+    for texts in (("1212",), ("2321",), ("2321", "1212")):
+        ys = frozenset(patterns.parse_pattern(t) for t in texts)
+        plans = [patterns._plan(y) for y in ys]
+        for n in range(8):
+            level = patterns._avoider_level(n, ys, cls)
+            cases.append((level, plans, list(patterns._grown(level, plans, prim))))
+    made, held = [], []
+    make, run = patterns._automaton, patterns._run
+
+    def new_automaton(plan):
+        made.append(plan)
+        return make(plan)
+
+    def counted_run(automaton, w):
+        held.append(len(automaton[1]))  # states held before reading w
+        return run(automaton, w)
+
+    monkeypatch.setattr(patterns, "_STATES", 4)
+    monkeypatch.setattr(patterns, "_automaton", new_automaton)
+    monkeypatch.setattr(patterns, "_run", counted_run)
+    for level, plans, want in cases:
+        assert list(patterns._grown(level, plans, prim)) == want, (plans, cls, level[-1])
+    assert max(held) <= 4
+    assert len(made) > 10 * sum(len(plans) for _, plans, _ in cases)
 
 
 def test_count_works_out_each_state_once(monkeypatch):
